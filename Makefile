@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-kernel bench-pipeline bench-traffic bench-repair tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
+.PHONY: all build test test-cpus test-short race cover bench bench-kernel bench-pipeline bench-traffic bench-repair tune experiments paper fmt fmt-check vet lint verify-plans fuzz-smoke checkptr chaos check clean
 
 all: check
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The 0-allocs and allocation-ceiling tests, repeated at GOMAXPROCS 1,
+# 2 and 4: worker-pool and fan-out paths change with the core budget,
+# so one pass at the host default cannot vouch for them.
+test-cpus:
+	$(GO) test -cpu 1,2,4 -run 'Alloc' ./internal/kernel ./internal/core ./internal/pipeline .
 
 test-short:
 	$(GO) test -short ./...

@@ -60,3 +60,33 @@ func TestRepeatedDecodeAllocationFree(t *testing.T) {
 		t.Errorf("cached Decode allocates %.1f/op, want 0", avg)
 	}
 }
+
+// TestBuildPlanAllocCeiling bounds what one cold plan allocates, for a
+// fixed SD(8,16,2,2) worst-case pattern (two whole disks plus two
+// sectors). Sizing each compiled row once and compiling each distinct
+// group program once per plan took this pattern from 1202 allocations
+// to 423 (429 with the XOR-program backend), measured with go1.24 on
+// amd64; the ceiling leaves room for toolchain drift.
+func TestBuildPlanAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode instruments allocations; counts are meaningless")
+	}
+	const ceiling = 700
+	sd, err := NewSD(8, 16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sd.WorstCaseScenario(rand.New(rand.NewSource(7)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := BuildPlan(sd, sc, StrategyPPM); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("BuildPlan allocates %.0f/op", avg)
+	if avg > ceiling {
+		t.Errorf("BuildPlan allocates %.0f/op, ceiling %d", avg, ceiling)
+	}
+}

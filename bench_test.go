@@ -72,6 +72,32 @@ func BenchmarkFig4CostModel(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildPlanWorstCase times cold planning, the cost every plan
+// cache miss pays: it cycles 4096 distinct SD(8,16,2,2) worst-case
+// patterns (two whole disks plus two sectors), far more than a
+// Decoder's DefaultPlanCacheSize, and builds the production PPM plan
+// for each. Run with -benchmem to see bytes and allocations per plan.
+func BenchmarkBuildPlanWorstCase(b *testing.B) {
+	sd, err := NewSD(8, 16, 2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	patterns := make([]Scenario, 4096)
+	for i := range patterns {
+		if patterns[i], err = sd.WorstCaseScenario(rng, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildPlan(sd, patterns[i%len(patterns)], StrategyPPM); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig7Threads regenerates the Figure 7 thread sweep for one
 // representative configuration (n=16, r=16, m=2, s=2).
 func BenchmarkFig7Threads(b *testing.B) {

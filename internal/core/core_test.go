@@ -66,8 +66,14 @@ func TestLogTablePaperExample(t *testing.T) {
 			t.Fatalf("row %d = %+v, want %+v", i, lt.Rows[i], w)
 		}
 	}
-	if lt.String() == "" {
-		t.Fatal("empty log table rendering")
+	wantText := "i   ti  li\n" +
+		"0   1   (2)\n" +
+		"1   1   (6)\n" +
+		"2   1   (10)\n" +
+		"3   2   (13,14)\n" +
+		"4   5   (2,6,10,13,14)\n"
+	if got := lt.String(); got != wantText {
+		t.Fatalf("log table renders as\n%s\nwant\n%s", got, wantText)
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ppm/internal/matrix"
@@ -33,27 +34,45 @@ type LogTable struct {
 // sorted ascending (codes.Scenario guarantees it).
 func BuildLogTable(h *matrix.Matrix, faulty []int) *LogTable {
 	lt := &LogTable{Rows: make([]LogRow, h.Rows())}
+	total := 0
 	for i := 0; i < h.Rows(); i++ {
 		row := h.Row(i)
-		lr := LogRow{Row: i}
 		for _, col := range faulty {
 			if row[col] != 0 {
-				lr.L = append(lr.L, col)
+				total++
 			}
 		}
-		lr.T = len(lr.L)
+	}
+	// Every l_i is a window of one backing array, capped so that no
+	// list can grow into its neighbour's.
+	cols := make([]int, 0, total)
+	for i := 0; i < h.Rows(); i++ {
+		row := h.Row(i)
+		start := len(cols)
+		for _, col := range faulty {
+			if row[col] != 0 {
+				cols = append(cols, col)
+			}
+		}
+		lr := LogRow{Row: i, T: len(cols) - start}
+		if lr.T > 0 {
+			lr.L = cols[start:len(cols):len(cols)]
+		}
 		lt.Rows[i] = lr
 	}
 	return lt
 }
 
-// key renders l_i as a map key for grouping rows with identical lists.
-func (lr LogRow) key() string {
-	parts := make([]string, len(lr.L))
+// appendKey appends l_i, comma-separated, to dst: the key that groups
+// rows with identical lists, and the table's printed form.
+func (lr LogRow) appendKey(dst []byte) []byte {
 	for i, c := range lr.L {
-		parts[i] = fmt.Sprintf("%d", c)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(c), 10)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // String renders the table the way Figure 3 prints it.
@@ -61,7 +80,7 @@ func (lt *LogTable) String() string {
 	var b strings.Builder
 	b.WriteString("i   ti  li\n")
 	for _, lr := range lt.Rows {
-		fmt.Fprintf(&b, "%-3d %-3d (%s)\n", lr.Row, lr.T, lr.key())
+		fmt.Fprintf(&b, "%-3d %-3d (%s)\n", lr.Row, lr.T, lr.appendKey(nil))
 	}
 	return b.String()
 }

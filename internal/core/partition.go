@@ -74,32 +74,36 @@ func (pt *Partition) allSingleton() bool {
 //     are extracted and the surplus goes to H_rest, keeping F_i square.
 func BuildPartition(lt *LogTable, faulty []int) *Partition {
 	pt := &Partition{}
-	claimed := make(map[int]bool, len(faulty))
-	usedRow := make(map[int]bool, len(lt.Rows))
+	maxCol := -1
+	for _, col := range faulty {
+		maxCol = max(maxCol, col)
+	}
+	claimed := make([]bool, maxCol+1)
+	usedRow := make([]bool, len(lt.Rows))
 
 	// Bucket rows by identical l_i, preserving first-appearance order.
 	type bucket struct {
 		l    []int
 		rows []int
 	}
-	var order []string
+	var order []*bucket
 	buckets := make(map[string]*bucket)
+	var key []byte
 	for _, lr := range lt.Rows {
 		if lr.T == 0 {
 			continue // row touches no faulty block; it stays in H_rest
 		}
-		k := lr.key()
-		b, ok := buckets[k]
+		key = lr.appendKey(key[:0])
+		b, ok := buckets[string(key)]
 		if !ok {
 			b = &bucket{l: lr.L}
-			buckets[k] = b
-			order = append(order, k)
+			buckets[string(key)] = b
+			order = append(order, b)
 		}
 		b.rows = append(b.rows, lr.Row)
 	}
 
-	for _, k := range order {
-		b := buckets[k]
+	for _, b := range order {
 		f := len(b.l)
 		if len(b.rows) < f {
 			continue // under-determined alone; resolved in H_rest

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ppm/internal/codes"
 	"ppm/internal/gf"
@@ -80,7 +81,8 @@ type SubDecode struct {
 
 	// Compiled forms of the matrices the chosen sequence uses, lowered
 	// once at plan time so repeated decodes skip per-call lookup-table
-	// construction (see kernel.CompiledMatrix).
+	// construction (see kernel.CompiledMatrix). Groups of one plan with
+	// equal G share G and cG.
 	cFinv, cS, cG *kernel.CompiledMatrix
 }
 
@@ -216,10 +218,19 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 		return nil, fmt.Errorf("core: unknown strategy %v", strategy)
 	}
 
-	// Lower the plan's matrices into compiled multiplier form.
+	// Lower the plan's matrices into compiled multiplier form. Groups
+	// with equal G share one matrix and one compiled program: SD stripe
+	// rows holding only the lost disks differ by a per-row scale that
+	// cancels in F_i^-1 * S_i, so most groups of a plan repeat an
+	// earlier one. Each group keeps its own Finv and S.
 	f := c.Field()
 	for i := range plan.Groups {
-		plan.Groups[i].compile(f)
+		g := &plan.Groups[i]
+		if prev := sharedGroup(plan.Groups[:i], g); prev != nil {
+			g.G, g.cG = prev.G, prev.cG
+			continue
+		}
+		g.compile(f)
 	}
 	if plan.Rest != nil {
 		plan.Rest.compile(f)
@@ -228,6 +239,21 @@ func BuildPlan(c codes.Code, sc codes.Scenario, strategy Strategy) (*Plan, error
 		plan.Whole.compile(f)
 	}
 	return plan, nil
+}
+
+// sharedGroup returns an earlier MatrixFirst group whose G equals g's,
+// or nil when g's program is the first of its kind in the plan.
+func sharedGroup(earlier []SubDecode, g *SubDecode) *SubDecode {
+	if g.Seq != kernel.MatrixFirst {
+		return nil
+	}
+	for i := range earlier {
+		e := &earlier[i]
+		if e.Seq == kernel.MatrixFirst && e.G.Equal(g.G) {
+			return e
+		}
+	}
+	return nil
 }
 
 // buildWholeSubDecode prepares the traditional Steps 2-3 on the full H.
@@ -265,6 +291,7 @@ func buildPPMSubDecodes(c codes.Code, sc codes.Scenario, plan *Plan) error {
 	plan.LogTable = BuildLogTable(h, sc.Faulty)
 	plan.Partition = BuildPartition(plan.LogTable, sc.Faulty)
 
+	plan.Groups = make([]SubDecode, 0, len(plan.Partition.Groups))
 	for i := 0; i < len(plan.Partition.Groups); {
 		g := plan.Partition.Groups[i]
 		sub, err := buildGroupSubDecode(h, g)
@@ -294,13 +321,10 @@ func buildPPMSubDecodes(c codes.Code, sc codes.Scenario, plan *Plan) error {
 // is always cheaper for groups, since every F_i/S_i entry is nonzero).
 func buildGroupSubDecode(h *matrix.Matrix, g Group) (*SubDecode, error) {
 	sub := h.SelectRows(g.Rows)
-	faulty := make(map[int]bool, len(g.FaultyCols))
-	for _, col := range g.FaultyCols {
-		faulty[col] = true
-	}
-	var survivors []int
-	for _, col := range sub.NonzeroColumns() {
-		if !faulty[col] {
+	nonzero := sub.NonzeroColumns()
+	survivors := make([]int, 0, len(nonzero))
+	for _, col := range nonzero {
+		if !slices.Contains(g.FaultyCols, col) {
 			survivors = append(survivors, col)
 		}
 	}

@@ -63,7 +63,7 @@ type RowKernel interface {
 func CompileRow(f Field, consts []uint32) RowKernel {
 	switch ff := f.(type) {
 	case *field8:
-		r := &rowKernel8{n: len(consts)}
+		r := &rowKernel8{n: len(consts), terms: make([]term8, 0, countNonzero(consts, 0xFF))}
 		for j, a := range consts {
 			a &= 0xFF
 			switch {
@@ -77,7 +77,7 @@ func CompileRow(f Field, consts []uint32) RowKernel {
 		}
 		return r
 	case *field16:
-		r := &rowKernel16{n: len(consts)}
+		r := &rowKernel16{n: len(consts), terms: make([]term16, 0, countNonzero(consts, 0xFFFF))}
 		for j, a := range consts {
 			a &= 0xFFFF
 			switch {
@@ -91,7 +91,7 @@ func CompileRow(f Field, consts []uint32) RowKernel {
 		}
 		return r
 	case field32:
-		r := &rowKernel32{n: len(consts)}
+		r := &rowKernel32{n: len(consts), terms: make([]term32, 0, countNonzero(consts, 0xFFFFFFFF))}
 		for j, a := range consts {
 			switch {
 			case a == 0:
@@ -114,6 +114,18 @@ func CompileRow(f Field, consts []uint32) RowKernel {
 		}
 		return r
 	}
+}
+
+// countNonzero counts the constants that stay nonzero under the field's
+// word mask, so a compiled row's terms are sized once.
+func countNonzero(consts []uint32, mask uint32) int {
+	n := 0
+	for _, a := range consts {
+		if a&mask != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // checkFused validates the srcs/consts pairing shared by the fused

@@ -56,11 +56,18 @@ func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 		cols:  m.Cols(),
 		kerns: make([]gf.RowKernel, m.Rows()),
 		mults: make([][]CompiledTerm, m.Rows()),
+		nnz:   m.NNZ(),
 	}
-	cache := make(map[uint32]gf.Multiplier)
+	// Every row's terms are carved out of one backing array. GF(2^8)
+	// binds all its multipliers up front, so MultiplierFor is already
+	// pointer-stable there; the wider fields stop memoizing past their
+	// table bound and need this compile's own dedupe to keep sharing.
+	terms := make([]CompiledTerm, 0, cm.nnz)
+	var cache map[uint32]gf.Multiplier
 	for i := 0; i < m.Rows(); i++ {
 		row := m.Row(i)
 		cm.kerns[i] = gf.CompileRow(f, row)
+		start := len(terms)
 		for j, a := range row {
 			if a == 0 {
 				continue
@@ -68,11 +75,16 @@ func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 			mult, ok := cache[a]
 			if !ok {
 				mult = gf.MultiplierFor(f, a)
-				cache[a] = mult
+				if f != gf.GF8 && a > 1 {
+					if cache == nil {
+						cache = make(map[uint32]gf.Multiplier)
+					}
+					cache[a] = mult
+				}
 			}
-			cm.mults[i] = append(cm.mults[i], CompiledTerm{Col: j, Mult: mult})
-			cm.nnz++
+			terms = append(terms, CompiledTerm{Col: j, Mult: mult})
 		}
+		cm.mults[i] = terms[start:len(terms):len(terms)]
 	}
 	if XorplanActive() {
 		// Compiled programs are memoized process-wide, so recompiling the
@@ -115,7 +127,7 @@ func (cm *CompiledMatrix) checkShape(in, out [][]byte) {
 func (cm *CompiledMatrix) Apply(in, out [][]byte, stats *Stats) {
 	cm.checkShape(in, out)
 	size := regionLen(out)
-	if spans := tileSpans(size, applyWorkers(), TileSize()); spans != nil && size >= FanoutMinBytes() {
+	if spans := fanoutSpans(size); spans != nil {
 		if err := DefaultWorkers().Run(len(spans), func(i int) error {
 			cm.applySpan(in, out, spans[i][0], spans[i][1])
 			return nil
@@ -190,7 +202,7 @@ func (cm *CompiledMatrix) ApplyOverwrite(in, out [][]byte, stats *Stats) {
 		return
 	}
 	size := regionLen(out)
-	if spans := tileSpans(size, applyWorkers(), TileSize()); spans != nil && size >= FanoutMinBytes() {
+	if spans := fanoutSpans(size); spans != nil {
 		if err := DefaultWorkers().Run(len(spans), func(i int) error {
 			cm.prog.RunOverwrite(in, out, spans[i][0], spans[i][1])
 			return nil
@@ -287,7 +299,7 @@ func CompiledProduct(finv, s, g *CompiledMatrix, in, out, scratch [][]byte, seq 
 		s.checkShape(in, scratchOrOut(scratch, out))
 		finv.checkShape(scratchOrOut(scratch, out), out)
 		size := regionLen(out)
-		if spans := tileSpans(size, applyWorkers(), TileSize()); spans != nil && size >= FanoutMinBytes() {
+		if spans := fanoutSpans(size); spans != nil {
 			if err := DefaultWorkers().Run(len(spans), func(i int) error {
 				chainSpan(finv, s, in, out, scratch, spans[i][0], spans[i][1])
 				return nil

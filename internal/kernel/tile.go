@@ -113,6 +113,16 @@ func tileSpans(size, parts, tile int) [][2]int {
 	return spans
 }
 
+// fanoutSpans returns the tile spans one apply over size bytes fans
+// out across the worker pool, or nil when it runs serially. The size
+// test comes first, so a serial apply allocates no spans.
+func fanoutSpans(size int) [][2]int {
+	if size < FanoutMinBytes() {
+		return nil
+	}
+	return tileSpans(size, applyWorkers(), TileSize())
+}
+
 // applyWorkers is the fan-out width for one large-region apply: the
 // core count, the same budget the executors draw on. The worker pool's
 // inline-fallback dispatch keeps nesting safe (an apply running inside

@@ -37,9 +37,28 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 // columns in sub-matrices and that those are dropped ("all sub-matrices
 // do not include the all zero columns", §III-A).
 func (m *Matrix) NonzeroColumns() []int {
-	var cols []int
-	for j := 0; j < m.cols; j++ {
-		if !m.ColumnIsZero(j) {
+	// Mark columns in one row-major pass: rows are contiguous in data,
+	// columns are strided.
+	seen := make([]bool, m.cols)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.data[i*m.cols : (i+1)*m.cols] {
+			if v != 0 {
+				seen[j] = true
+			}
+		}
+	}
+	n := 0
+	for _, nz := range seen {
+		if nz {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	cols := make([]int, 0, n)
+	for j, nz := range seen {
+		if nz {
 			cols = append(cols, j)
 		}
 	}
