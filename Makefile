@@ -17,7 +17,7 @@ test:
 # 2 and 4: worker-pool and fan-out paths change with the core budget,
 # so one pass at the host default cannot vouch for them.
 test-cpus:
-	$(GO) test -cpu 1,2,4 -run 'Alloc' ./internal/kernel ./internal/core ./internal/pipeline .
+	$(GO) test -cpu 1,2,4 -run 'Alloc' ./internal/gf ./internal/kernel ./internal/core ./internal/fault ./internal/pipeline .
 
 test-short:
 	$(GO) test -short ./...

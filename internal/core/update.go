@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"sync"
 
@@ -151,9 +152,7 @@ func (u *Updater) UpdateRange(st *stripe.Stripe, dataIdx int, newContent []byte,
 		*bp = make([]byte, len(old))
 	}
 	delta := (*bp)[:len(old)]
-	for i := range delta {
-		delta[i] = old[i] ^ newContent[i]
-	}
+	subtle.XORBytes(delta, old, newContent)
 	var ops int64
 	for _, term := range u.columns[j] {
 		term.mult.MultXOR(st.Sector(u.parity[term.parityRow])[lo:hi], delta)

@@ -167,3 +167,36 @@ func TestUpdateThenDecode(t *testing.T) {
 		t.Fatal("decode after updates wrong")
 	}
 }
+
+// TestUpdateRangeAllocFree: a warm 4 KiB delta update allocates
+// nothing — the delta scratch comes from the pool and every parity
+// patch runs on the vectorised region kernels.
+func TestUpdateRangeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool deliberately drops items; alloc counts are meaningless")
+	}
+	lrc, err := codes.NewLRC(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUpdater(lrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 4096
+	st := encodedStripe(t, lrc, size, 814)
+	fresh := make([]byte, size)
+	rand.New(rand.NewSource(815)).Read(fresh)
+	var stats kernel.Stats
+	if err := u.UpdateRange(st, 5, fresh, 0, size, &stats); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := u.UpdateRange(st, 5, fresh, 0, size, &stats); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("UpdateRange allocates %.1f per run, want 0", allocs)
+	}
+}

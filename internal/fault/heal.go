@@ -2,9 +2,9 @@ package fault
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"ppm/internal/codes"
 	"ppm/internal/repair"
@@ -39,14 +39,10 @@ func SectorChecksums(st *stripe.Stripe) []uint32 {
 
 // VerifyStripe compares every sector of st against the expected
 // checksum row and returns the global indices that mismatch (nil when
-// clean). skip, when non-nil, marks sectors excluded from verification
-// (already-declared erasures whose buffers hold no data).
-func VerifyStripe(st *stripe.Stripe, sums []uint32, skip map[int]bool) []int {
+// clean).
+func VerifyStripe(st *stripe.Stripe, sums []uint32) []int {
 	var bad []int
 	for i := 0; i < st.TotalSectors() && i < len(sums); i++ {
-		if skip[i] {
-			continue
-		}
 		if ChecksumSector(st.Sector(i)) != sums[i] {
 			bad = append(bad, i)
 		}
@@ -122,18 +118,105 @@ type Healer struct {
 	Stats HealStats
 
 	planner *repair.Planner
-	baseSet map[int]bool
 	buf     []byte
+
+	// The baseline, validated once: its membership by global sector
+	// index, its size, and its scenario (or the reason it has none).
+	baseSet []bool
+	nBase   int
+	baseSc  codes.Scenario
+	baseErr error
+	baseOK  bool // baseSc is decodable
+
+	// Per-call scratch, reused so clean reads do not allocate.
+	faulty  []bool // per sector: baseline or demoted
+	demoted []bool // per sector: demoted by this ReadStripe call
+	read    []bool // per strip: fetched by this ReadSectors call
+	need    []bool // per strip: read by the current plan
+	list    []int
+	wanted  []int
 }
 
 // init lazily builds the repair planner (LRU-cached: repeated demotion
-// patterns reuse their compiled plans) and scratch.
+// patterns reuse their compiled plans) and scratch, and validates the
+// baseline once.
 func (h *Healer) init() {
-	if h.planner == nil {
-		h.planner = repair.NewPlanner(h.Code)
-		h.baseSet = h.Baseline.FaultySet()
-		h.buf = make([]byte, h.Store.StripBytes())
+	if h.planner != nil {
+		return
 	}
+	h.planner = repair.NewPlanner(h.Code)
+	h.buf = make([]byte, h.Store.StripBytes())
+	total := codes.TotalSectors(h.Code)
+	h.baseSet = make([]bool, total)
+	var outside []int
+	for _, s := range h.Baseline.Faulty {
+		switch {
+		case s < 0 || s >= total:
+			outside = append(outside, s)
+		case !h.baseSet[s]:
+			h.baseSet[s] = true
+			h.nBase++
+		}
+	}
+	// Any faulty set holding the baseline fails NewScenario on the
+	// baseline's first bad index, so validating it alone suffices.
+	h.baseSc, h.baseErr = codes.NewScenario(h.Code, append(appendMarked(nil, h.baseSet), outside...))
+	h.baseOK = h.baseErr == nil && codes.Decodable(h.Code, h.baseSc)
+}
+
+// appendMarked appends the indices set in flags to dst, ascending.
+func appendMarked(dst []int, flags []bool) []int {
+	for i, f := range flags {
+		if f {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// cleared returns (*buf)[:n] zeroed, growing *buf when it is short.
+func cleared(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// resetFaulty returns h.faulty sized for a stripe of total sectors and
+// marking exactly the baseline.
+func (h *Healer) resetFaulty(total int) []bool {
+	faulty := cleared(&h.faulty, max(total, len(h.baseSet)))
+	copy(faulty, h.baseSet)
+	return faulty
+}
+
+// isBase reports whether global sector s is a baseline erasure.
+func (h *Healer) isBase(s int) bool { return s < len(h.baseSet) && h.baseSet[s] }
+
+// scenario returns the erasure scenario over the nFaulty sectors marked
+// in h.faulty, or the error for stripe idx when it is invalid or beyond
+// the code's tolerance. While nothing beyond the baseline is marked it
+// is the baseline's scenario, validated once in init.
+func (h *Healer) scenario(idx, nFaulty int) (codes.Scenario, error) {
+	if h.baseErr != nil {
+		return codes.Scenario{}, fmt.Errorf("fault: stripe %d: %w", idx, h.baseErr)
+	}
+	sc, ok := h.baseSc, h.baseOK
+	if nFaulty > h.nBase {
+		h.list = appendMarked(h.list[:0], h.faulty)
+		var err error
+		if sc, err = codes.NewScenario(h.Code, h.list); err != nil {
+			return codes.Scenario{}, fmt.Errorf("fault: stripe %d: %w", idx, err)
+		}
+		ok = codes.Decodable(h.Code, sc)
+	}
+	if !ok {
+		return codes.Scenario{}, fmt.Errorf("fault: stripe %d: %d failures exceed %s's tolerance (unrecoverable)",
+			idx, nFaulty, h.Code.Name())
+	}
+	return sc, nil
 }
 
 func (h *Healer) logf(format string, args ...any) {
@@ -151,12 +234,22 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 	h.init()
 	h.Stats.Stripes++
 	n, r := st.N(), st.R()
-	demoted := make(map[int]bool)
+	faulty := h.resetFaulty(st.TotalSectors())
+	demoted := cleared(&h.demoted, len(faulty))
+	nFaulty, nDemoted := h.nBase, 0
+	demote := func(s int) {
+		demoted[s] = true
+		nDemoted++
+		if !faulty[s] {
+			faulty[s] = true
+			nFaulty++
+		}
+	}
 
 	for j := 0; j < n; j++ {
 		baseMissing := true
 		for i := 0; i < r; i++ {
-			if !h.baseSet[i*n+j] {
+			if !h.isBase(i*n + j) {
 				baseMissing = false
 				break
 			}
@@ -177,33 +270,27 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 			h.logf("stripe %d disk %d: demoting strip to erasure: %v", idx, j, err)
 			for i := 0; i < r; i++ {
 				clear(st.SectorAt(i, j))
-				demoted[i*n+j] = true
+				demote(i*n + j)
 			}
 		}
 	}
 
 	// Checksum the survivors; mismatches join the demoted set.
 	if idx < len(h.Sums) && h.Sums[idx] != nil {
-		skip := demoted
-		if len(h.baseSet) > 0 {
-			skip = make(map[int]bool, len(demoted)+len(h.baseSet))
-			for s := range demoted {
-				skip[s] = true
+		sums := h.Sums[idx]
+		for s := 0; s < st.TotalSectors() && s < len(sums); s++ {
+			if faulty[s] || ChecksumSector(st.Sector(s)) == sums[s] {
+				continue
 			}
-			for s := range h.baseSet {
-				skip[s] = true
-			}
-		}
-		for _, s := range VerifyStripe(st, h.Sums[idx], skip) {
 			h.Stats.CorruptSectors++
 			h.logf("stripe %d sector %d (row %d, disk %d): checksum mismatch, demoting to erasure",
 				idx, s, s/n, s%n)
 			clear(st.Sector(s))
-			demoted[s] = true
+			demote(s)
 		}
 	}
 
-	if len(demoted) == 0 {
+	if nDemoted == 0 {
 		return nil
 	}
 
@@ -212,27 +299,12 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 	// survivor set skips whole sub-decodes an unrelated failure would
 	// have dragged in; baseline sectors stay zeroed for the downstream
 	// consumer's once-compiled decode (its plan recovers them anyway).
-	faulty := make([]int, 0, len(demoted)+len(h.baseSet))
-	wanted := make([]int, 0, len(demoted))
-	for s := range demoted {
-		faulty = append(faulty, s)
-		wanted = append(wanted, s)
-	}
-	sort.Ints(wanted)
-	for s := range h.baseSet {
-		if !demoted[s] {
-			faulty = append(faulty, s)
-		}
-	}
-	sc, err := codes.NewScenario(h.Code, faulty)
+	sc, err := h.scenario(idx, nFaulty)
 	if err != nil {
-		return fmt.Errorf("fault: stripe %d: %w", idx, err)
+		return err
 	}
-	if !codes.Decodable(h.Code, sc) {
-		return fmt.Errorf("fault: stripe %d: %d failures exceed %s's tolerance (unrecoverable)",
-			idx, len(faulty), h.Code.Name())
-	}
-	plan, err := h.planner.Plan(sc, wanted)
+	h.wanted = appendMarked(h.wanted[:0], demoted)
+	plan, err := h.planner.Plan(sc, h.wanted)
 	if err != nil {
 		return fmt.Errorf("fault: stripe %d: repair planning: %w", idx, err)
 	}
@@ -241,7 +313,7 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 	}
 	h.Stats.Healed++
 	h.logf("stripe %d: healed %d demoted sector(s) via repair plan (%d survivors)",
-		idx, len(demoted), len(plan.ReadCols))
+		idx, nDemoted, len(plan.ReadCols))
 	return nil
 }
 
@@ -249,7 +321,7 @@ func (h *Healer) ReadStripe(ctx context.Context, idx int, st *stripe.Stripe) err
 // policy, returning an error when every attempt failed.
 func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) error {
 	sector := st.SectorSize()
-	buf, attempts, err := DoVal(ctx, fmt.Sprintf("read stripe %d disk %d", idx, j), h.Policy,
+	buf, attempts, err := DoVal(ctx, "", h.Policy,
 		func() ([]byte, error) {
 			b := h.buf
 			if h.Policy.OpTimeout > 0 {
@@ -264,6 +336,12 @@ func (h *Healer) readStrip(ctx context.Context, idx, j int, st *stripe.Stripe) e
 		})
 	h.Stats.Retries += int64(attempts - 1)
 	if err != nil {
+		// Name the op only on failure: formatting it for every clean
+		// read would cost allocations per strip.
+		var oe *OpError
+		if errors.As(err, &oe) {
+			oe.Op = fmt.Sprintf("read stripe %d disk %d", idx, j)
+		}
 		return err
 	}
 	for i := 0; i < st.R(); i++ {
@@ -285,29 +363,18 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 	h.init()
 	h.Stats.Stripes++
 	n, r := st.N(), st.R()
-	faulty := make(map[int]bool, len(h.baseSet))
-	for s := range h.baseSet {
-		faulty[s] = true
-	}
-	read := make(map[int]bool, n)
-	faultyList := make([]int, 0, len(faulty))
+	faulty := h.resetFaulty(st.TotalSectors())
+	nFaulty := h.nBase
+	read := cleared(&h.read, n)
+	codeN := h.Code.NumStrips()
 
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			h.Stats.Replans++
 		}
-		faultyList = faultyList[:0]
-		for s := range faulty {
-			faultyList = append(faultyList, s)
-		}
-		sort.Ints(faultyList)
-		sc, err := codes.NewScenario(h.Code, faultyList)
+		sc, err := h.scenario(idx, nFaulty)
 		if err != nil {
-			return fmt.Errorf("fault: stripe %d: %w", idx, err)
-		}
-		if !codes.Decodable(h.Code, sc) {
-			return fmt.Errorf("fault: stripe %d: %d failures exceed %s's tolerance (unrecoverable)",
-				idx, len(faultyList), h.Code.Name())
+			return err
 		}
 		plan, err := h.planner.Plan(sc, wanted)
 		if err != nil {
@@ -316,12 +383,12 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 
 		// Strips to fetch: the plan's survivor strips plus any strip
 		// holding a wanted, still-live sector.
-		need := make(map[int]bool, n)
-		for _, d := range plan.ReadDisks() {
-			need[d] = true
+		need := cleared(&h.need, max(n, codeN))
+		for _, c := range plan.ReadCols {
+			need[c%codeN] = true
 		}
 		for _, w := range wanted {
-			if !faulty[w] {
+			if w >= 0 && (w >= len(faulty) || !faulty[w]) {
 				need[w%n] = true
 			}
 		}
@@ -339,7 +406,10 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 				h.logf("stripe %d disk %d: demoting strip to erasure: %v", idx, j, err)
 				for i := 0; i < r; i++ {
 					clear(st.SectorAt(i, j))
-					faulty[i*n+j] = true
+					if s := i*n + j; !faulty[s] {
+						faulty[s] = true
+						nFaulty++
+					}
 				}
 				widened = true
 				continue
@@ -359,6 +429,7 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 							idx, s, i, j)
 						clear(st.SectorAt(i, j))
 						faulty[s] = true
+						nFaulty++
 						widened = true
 					}
 				}
@@ -372,7 +443,7 @@ func (h *Healer) ReadSectors(ctx context.Context, idx int, st *stripe.Stripe, wa
 		if err := plan.Execute(st, nil); err != nil {
 			return fmt.Errorf("fault: stripe %d: repair execute: %w", idx, err)
 		}
-		if len(faulty) > len(h.baseSet) {
+		if nFaulty > h.nBase {
 			h.Stats.Healed++
 		}
 		return nil

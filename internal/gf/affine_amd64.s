@@ -3,9 +3,10 @@
 #include "textflag.h"
 
 // GF2P8AFFINEQB region kernels. Each processes n bytes (n > 0, n a
-// multiple of 64) of dst ^= a*src with the constant's multiplication
-// matrix pre-encoded by the builders in affine.go. Word lanes are
-// little-endian, matching the portable kernels.
+// multiple of 64) of dst ^= a*src — at w=8, of a whole batch of such
+// terms — with each constant's multiplication matrix pre-encoded by
+// the builders in affine.go. Word lanes are little-endian, matching
+// the portable kernels.
 //
 // GF(2^16) and GF(2^32) words mix bytes, but GF2P8AFFINEQB transforms
 // each byte with the matrix of its own qword lane. The kernels
@@ -62,23 +63,127 @@ DATA p32i<>+0x30(SB)/8, $0x3d2d1d0d3c2c1c0c
 DATA p32i<>+0x38(SB)/8, $0x3f2f1f0f3e2e1e0e
 GLOBL p32i<>(SB), RODATA|NOPTR, $64
 
-// func gf8AffineXorAsm(dst, src *byte, n int, mat uint64)
-// Bytes transform independently at w=8: one affine per vector.
-TEXT ·gf8AffineXorAsm(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VPBROADCASTQ mat+24(FP), Z1
+// func gf8FusedAsm(dst *byte, xs *[]byte, nx int, ts *[]byte, mats *uint64, nt int, n int)
+// One pass of a whole GF(2^8) row batch: dst ^= Σ xs[k] ^ Σ mats[k]*ts[k]
+// over n bytes. Bytes transform independently at w=8, so each block of
+// dst is loaded once, every coefficient-1 source is VPXORQ'd straight
+// in, every multiplied source goes through one GF2P8AFFINEQB against
+// its broadcast matrix, and the block is stored once. 256-byte blocks
+// keep four accumulators in flight so the per-term loop overhead and
+// the dependent XOR chain are spread over four vectors; the 64-byte
+// loop finishes the remainder.
+TEXT ·gf8FusedAsm(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ xs+8(FP), SI
+	MOVQ nx+16(FP), BX
+	MOVQ ts+24(FP), DX
+	MOVQ mats+32(FP), R9
+	MOVQ nt+40(FP), R10
+	MOVQ n+48(FP), CX
+	XORQ R8, R8                // byte offset into every region
+	MOVQ CX, AX
+	ANDQ $-256, AX             // end of the 256-byte blocks
+	JZ   tail64
 
-loop8:
-	VMOVDQU64      (SI), Z0
-	VGF2P8AFFINEQB $0, Z1, Z0, Z2
-	VPXORQ         (DI), Z2, Z2
-	VMOVDQU64      Z2, (DI)
-	ADDQ           $64, SI
-	ADDQ           $64, DI
-	SUBQ           $64, CX
-	JNE            loop8
+block256:
+	VMOVDQU64 (DI)(R8*1), Z0
+	VMOVDQU64 64(DI)(R8*1), Z1
+	VMOVDQU64 128(DI)(R8*1), Z2
+	VMOVDQU64 192(DI)(R8*1), Z3
+	MOVQ      SI, R11
+	MOVQ      BX, R12
+	TESTQ     R12, R12
+	JZ        mul256
+
+xor256:
+	MOVQ   (R11), R13          // xs[k] data pointer
+	VPXORQ (R13)(R8*1), Z0, Z0
+	VPXORQ 64(R13)(R8*1), Z1, Z1
+	VPXORQ 128(R13)(R8*1), Z2, Z2
+	VPXORQ 192(R13)(R8*1), Z3, Z3
+	ADDQ   $24, R11            // next slice header
+	DECQ   R12
+	JNZ    xor256
+
+mul256:
+	MOVQ  DX, R11
+	MOVQ  R9, R14
+	MOVQ  R10, R12
+	TESTQ R12, R12
+	JZ    store256
+
+aff256:
+	MOVQ           (R11), R13  // ts[k] data pointer
+	VPBROADCASTQ   (R14), Z4   // mats[k]
+	VMOVDQU64      (R13)(R8*1), Z5
+	VMOVDQU64      64(R13)(R8*1), Z6
+	VMOVDQU64      128(R13)(R8*1), Z7
+	VMOVDQU64      192(R13)(R8*1), Z8
+	VGF2P8AFFINEQB $0, Z4, Z5, Z5
+	VGF2P8AFFINEQB $0, Z4, Z6, Z6
+	VGF2P8AFFINEQB $0, Z4, Z7, Z7
+	VGF2P8AFFINEQB $0, Z4, Z8, Z8
+	VPXORQ         Z5, Z0, Z0
+	VPXORQ         Z6, Z1, Z1
+	VPXORQ         Z7, Z2, Z2
+	VPXORQ         Z8, Z3, Z3
+	ADDQ           $24, R11
+	ADDQ           $8, R14
+	DECQ           R12
+	JNZ            aff256
+
+store256:
+	VMOVDQU64 Z0, (DI)(R8*1)
+	VMOVDQU64 Z1, 64(DI)(R8*1)
+	VMOVDQU64 Z2, 128(DI)(R8*1)
+	VMOVDQU64 Z3, 192(DI)(R8*1)
+	ADDQ      $256, R8
+	CMPQ      R8, AX
+	JB        block256
+
+tail64:
+	CMPQ R8, CX
+	JAE  done
+
+block64:
+	VMOVDQU64 (DI)(R8*1), Z0
+	MOVQ      SI, R11
+	MOVQ      BX, R12
+	TESTQ     R12, R12
+	JZ        mul64
+
+xor64:
+	MOVQ   (R11), R13
+	VPXORQ (R13)(R8*1), Z0, Z0
+	ADDQ   $24, R11
+	DECQ   R12
+	JNZ    xor64
+
+mul64:
+	MOVQ  DX, R11
+	MOVQ  R9, R14
+	MOVQ  R10, R12
+	TESTQ R12, R12
+	JZ    store64
+
+aff64:
+	MOVQ           (R11), R13
+	VPBROADCASTQ   (R14), Z4
+	VMOVDQU64      (R13)(R8*1), Z5
+	VGF2P8AFFINEQB $0, Z4, Z5, Z5
+	VPXORQ         Z5, Z0, Z0
+	ADDQ           $24, R11
+	ADDQ           $8, R14
+	DECQ           R12
+	JNZ            aff64
+
+store64:
+	VMOVDQU64 Z0, (DI)(R8*1)
+	ADDQ      $64, R8
+	CMPQ      R8, CX
+	JB        block64
+
+done:
 	VZEROUPPER
 	RET
 

@@ -8,6 +8,8 @@ const affineSupported = false
 
 var useAffine = false
 
-func gf8AffineXorAsm(dst, src *byte, n int, mat uint64)          { panic("gf: no affine kernel") }
+func gf8FusedAsm(dst *byte, xs *[]byte, nx int, ts *[]byte, mats *uint64, nt int, n int) {
+	panic("gf: no affine kernel")
+}
 func gf16AffineXorAsm(dst, src *byte, n int, mats *[2][8]uint64) { panic("gf: no affine kernel") }
 func gf32AffineXorAsm(dst, src *byte, n int, mats *[4][8]uint64) { panic("gf: no affine kernel") }

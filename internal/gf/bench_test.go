@@ -34,12 +34,51 @@ func BenchmarkMultXORsGF16_128KiB(b *testing.B) { benchMultXORs(b, GF16, 128<<10
 func BenchmarkMultXORsGF32_4KiB(b *testing.B)   { benchMultXORs(b, GF32, 4096) }
 func BenchmarkMultXORsGF32_128KiB(b *testing.B) { benchMultXORs(b, GF32, 128<<10) }
 
-func BenchmarkXORRegion128KiB(b *testing.B) {
-	src := make([]byte, 128<<10)
-	dst := make([]byte, 128<<10)
+func benchXORRegion(b *testing.B, size int) {
+	src := make([]byte, size)
+	dst := make([]byte, size)
 	b.SetBytes(int64(len(src)))
 	for i := 0; i < b.N; i++ {
 		GF8.MultXORs(dst, src, 1)
+	}
+}
+
+func BenchmarkXORRegion4KiB(b *testing.B)   { benchXORRegion(b, 4096) }
+func BenchmarkXORRegion128KiB(b *testing.B) { benchXORRegion(b, 128<<10) }
+
+// BenchmarkFusedRowGF8 measures one compiled GF(2^8) row pass over the
+// row shapes the codes produce: an LRC local repair (all coefficients
+// 1), an SD group row (all multiplied) and a mixed row of a full fused
+// batch. Throughput counts the source bytes consumed.
+func BenchmarkFusedRowGF8(b *testing.B) {
+	mixed := make([]uint32, maxFusedTerms)
+	for k := range mixed {
+		mixed[k] = 1
+		if k%3 != 0 {
+			mixed[k] = uint32(k*37+2) & 0xFF
+		}
+	}
+	cases := []struct {
+		name   string
+		consts []uint32
+		size   int
+	}{
+		{"LRC-local-5xor-4KiB", []uint32{1, 1, 1, 1, 1}, 4096},
+		{"SD-group-6mul-4KiB", []uint32{2, 0x1d, 0x53, 0x8e, 0xc3, 0xf7}, 4096},
+		{"mixed-16-32KiB", mixed, 32 << 10},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(44))
+			srcs := randSrcs(rng, len(c.consts), c.size)
+			dst := make([]byte, c.size)
+			row := CompileRow(GF8, c.consts)
+			b.SetBytes(int64(len(c.consts) * c.size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row.MultXOR(dst, srcs)
+			}
+		})
 	}
 }
 

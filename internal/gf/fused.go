@@ -3,6 +3,7 @@ package gf
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // Fused region kernels: apply a whole row of coefficients in one pass.
@@ -23,6 +24,14 @@ import (
 // to the table-driven GF kernels. The logical mult_XORs count is
 // unchanged: one fused row pass performs exactly the same r region
 // operations, and the kernel's Stats still count r.
+//
+// On GFNI hosts a GF(2^8) batch is one assembly pass (gf8FusedAsm):
+// each 64-byte dst vector is loaded once, coefficient-1 sources are
+// VPXORQ'd in and multiplied sources go through GF2P8AFFINEQB, then the
+// vector is stored once. At w=16 and w=32 the coefficient-1 sources
+// share that pass and the multiplied ones keep their planar per-term
+// sweeps. The portable 64-bit table cores below handle the sub-64-byte
+// tails and every batch when the affine kernels are off.
 //
 // Two entry points:
 //
@@ -208,33 +217,35 @@ func (f *field8) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
 }
 
 // fuse8 applies one batch of GF(2^8) terms. With the affine kernels
-// available, multiplied terms run one GF2P8AFFINEQB sweep each over the
-// 64-byte-aligned prefix — inside the cache-blocked drivers dst stays
-// resident across those sweeps — and the table core handles the tail
-// plus the fused coefficient-1 XOR pass.
+// available, the 64-byte-aligned prefix is a single gf8FusedAsm pass —
+// each dst vector loaded once, every coefficient-1 source XORed in,
+// every multiplied source run through GF2P8AFFINEQB, stored once — and
+// the table core handles the sub-64-byte tail.
 //
 //ppm:hotpath
 func fuse8(dst []byte, xs, ts [][]byte, rows [][]uint8, affs []uint64) {
 	if len(xs) == 0 && len(ts) == 0 {
 		return
 	}
-	if useAffine && len(dst) >= 64 && len(ts) > 0 {
+	if useAffine && len(dst) >= 64 {
 		n64 := len(dst) &^ 63
-		for k, s := range ts {
-			gf8AffineXorAsm(&dst[0], &s[0], n64, affs[k])
+		gf8FusedAsm(&dst[0], unsafe.SliceData(xs), len(xs), unsafe.SliceData(ts), unsafe.SliceData(affs), len(ts), n64)
+		if n64 == len(dst) {
+			return
 		}
-		if n64 < len(dst) {
-			for k := range ts {
-				ts[k] = ts[k][n64:]
-			}
-			fuse8Tables(dst[n64:], nil, ts, rows)
-		}
-		if len(xs) > 0 {
-			fuse8Tables(dst, xs, nil, nil)
-		}
-		return
+		dst = dst[n64:]
+		trimRegions(xs, n64)
+		trimRegions(ts, n64)
 	}
 	fuse8Tables(dst, xs, ts, rows)
+}
+
+// trimRegions drops the first n bytes of every region in srcs, once an
+// assembly pass has covered them.
+func trimRegions(srcs [][]byte, n int) {
+	for k := range srcs {
+		srcs[k] = srcs[k][n:]
+	}
 }
 
 // fuse8Tables is the portable GF(2^8) fused core:
@@ -349,29 +360,31 @@ func (f *field16) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
 	}
 }
 
-// fuse16 applies one batch of GF(2^16) terms, preferring the planar
-// affine kernel for multiplied terms (see fuse8 for the structure).
+// fuse16 applies one batch of GF(2^16) terms. With the affine kernels
+// available, the coefficient-1 terms go through gf8FusedAsm (XOR does
+// not depend on the word width), each multiplied term runs one planar
+// affine sweep over the 64-byte-aligned prefix, and the table core
+// handles the tail.
 //
 //ppm:hotpath
 func fuse16(dst []byte, xs, ts [][]byte, tabs []*[2][256]uint16, affs []*[2][8]uint64) {
 	if len(xs) == 0 && len(ts) == 0 {
 		return
 	}
-	if useAffine && len(dst) >= 64 && len(ts) > 0 {
+	if useAffine && len(dst) >= 64 {
 		n64 := len(dst) &^ 63
+		if len(xs) > 0 {
+			gf8FusedAsm(&dst[0], unsafe.SliceData(xs), len(xs), nil, nil, 0, n64)
+		}
 		for k, s := range ts {
 			gf16AffineXorAsm(&dst[0], &s[0], n64, affs[k])
 		}
-		if n64 < len(dst) {
-			for k := range ts {
-				ts[k] = ts[k][n64:]
-			}
-			fuse16Tables(dst[n64:], nil, ts, tabs)
+		if n64 == len(dst) {
+			return
 		}
-		if len(xs) > 0 {
-			fuse16Tables(dst, xs, nil, nil)
-		}
-		return
+		dst = dst[n64:]
+		trimRegions(xs, n64)
+		trimRegions(ts, n64)
 	}
 	fuse16Tables(dst, xs, ts, tabs)
 }
@@ -486,29 +499,31 @@ func (f field32) MultXORsMulti(dst []byte, srcs [][]byte, consts []uint32) {
 	}
 }
 
-// fuse32 applies one batch of GF(2^32) terms, preferring the planar
-// affine kernel for multiplied terms (see fuse8 for the structure).
+// fuse32 applies one batch of GF(2^32) terms. With the affine kernels
+// available, the coefficient-1 terms go through gf8FusedAsm (XOR does
+// not depend on the word width), each multiplied term runs one planar
+// affine sweep over the 64-byte-aligned prefix, and the table core
+// handles the tail.
 //
 //ppm:hotpath
 func fuse32(dst []byte, xs, ts [][]byte, tabs []*[4][256]uint32, affs []*[4][8]uint64) {
 	if len(xs) == 0 && len(ts) == 0 {
 		return
 	}
-	if useAffine && len(dst) >= 64 && len(ts) > 0 {
+	if useAffine && len(dst) >= 64 {
 		n64 := len(dst) &^ 63
+		if len(xs) > 0 {
+			gf8FusedAsm(&dst[0], unsafe.SliceData(xs), len(xs), nil, nil, 0, n64)
+		}
 		for k, s := range ts {
 			gf32AffineXorAsm(&dst[0], &s[0], n64, affs[k])
 		}
-		if n64 < len(dst) {
-			for k := range ts {
-				ts[k] = ts[k][n64:]
-			}
-			fuse32Tables(dst[n64:], nil, ts, tabs)
+		if n64 == len(dst) {
+			return
 		}
-		if len(xs) > 0 {
-			fuse32Tables(dst, xs, nil, nil)
-		}
-		return
+		dst = dst[n64:]
+		trimRegions(xs, n64)
+		trimRegions(ts, n64)
 	}
 	fuse32Tables(dst, xs, ts, tabs)
 }

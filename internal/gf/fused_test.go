@@ -104,6 +104,91 @@ func testMultXORsMultiMatchesScalar(t *testing.T) {
 	}
 }
 
+// oddRegion returns a random size-byte region that starts off bytes
+// into its backing array, so the kernels see unaligned sources.
+func oddRegion(rng *rand.Rand, size, off int) []byte {
+	buf := make([]byte, off+size)
+	rng.Read(buf)
+	return buf[off : off+size : off+size]
+}
+
+// oddCopy returns a copy of b that starts off bytes into its backing
+// array.
+func oddCopy(b []byte, off int) []byte {
+	buf := make([]byte, off+len(b))
+	copy(buf[off:], b)
+	return buf[off:]
+}
+
+// TestFusedPassSplits pins every part of the GFNI pass's split — the
+// 256-byte blocks, the 64-byte remainder blocks and the sub-64-byte
+// table tail — for all-XOR, all-multiplied, mixed and full-batch rows,
+// with dst and every source sliced at an odd offset. Each case checks
+// MultXORsMulti, a compiled row and (for single terms) the bound
+// Multiplier against the scalar reference. Runs on both kernel paths.
+func TestFusedPassSplits(t *testing.T) {
+	forBothKernelPaths(t, testFusedPassSplits)
+}
+
+func testFusedPassSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	sizes := []int{64, 192, 256, 320, 4096, 4096 + 8, 32<<10 + 72}
+	shapes := []struct {
+		name  string
+		terms int
+		xor   func(k int) bool // coefficient 1 at position k
+	}{
+		{"single-mul", 1, func(int) bool { return false }},
+		{"all-xor", 5, func(int) bool { return true }},
+		{"all-mul", 6, func(int) bool { return false }},
+		{"mixed", 7, func(k int) bool { return k%2 == 0 }},
+		{"full-batch", maxFusedTerms, func(k int) bool { return k%3 == 0 }},
+	}
+	for _, f := range []Field{GF8, GF16, GF32} {
+		mask := uint32(f.Order() - 1)
+		for _, sh := range shapes {
+			for _, size := range sizes {
+				consts := make([]uint32, sh.terms)
+				srcs := make([][]byte, sh.terms)
+				for k := range consts {
+					consts[k] = 1
+					if !sh.xor(k) {
+						consts[k] = 2 + rng.Uint32()%(mask-1)
+					}
+					srcs[k] = oddRegion(rng, size, 2*k+1)
+				}
+				dst := make([]byte, size)
+				rng.Read(dst)
+				want := append([]byte(nil), dst...)
+				refMultiXOR(f, want, srcs, consts)
+
+				check := func(how string, got []byte) {
+					t.Helper()
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("GF%d %s size=%d %s: byte %d = %#x want %#x",
+								f.W(), sh.name, size, how, i, got[i], want[i])
+						}
+					}
+				}
+				multi := oddCopy(dst, 5)
+				f.MultXORsMulti(multi, srcs, consts)
+				check("MultXORsMulti", multi)
+
+				row := oddCopy(dst, 7)
+				CompileRow(f, consts).MultXOR(row, srcs)
+				check("CompileRow", row)
+
+				if sh.terms == 1 {
+					single := oddCopy(dst, 1)
+					MultiplierFor(f, consts[0]).MultXOR(single, srcs[0])
+					check("Multiplier", single)
+				}
+			}
+		}
+	}
+}
+
 // TestCompileRowMatchesMulti: the compiled row kernel computes the same
 // result as the on-the-fly fused call, skips zero coefficients
 // (tolerating nil sources in those lanes), and reports the nonzero term
@@ -194,7 +279,8 @@ func TestMultXORsMultiMismatchPanics(t *testing.T) {
 // FuzzFusedAgainstScalar drives the fused path with arbitrary constants
 // and buffer contents and cross-checks the scalar reference on all
 // three fields (the buffer is truncated to each field's word multiple),
-// exercising both the affine and the portable table kernels.
+// at the input's own length and at 320 bytes more, exercising both the
+// affine and the portable table kernels.
 func FuzzFusedAgainstScalar(f *testing.F) {
 	f.Add(uint32(2), uint32(3), uint32(0x1001), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint32(0), uint32(1), uint32(0xFFFFFFFF), make([]byte, 40))
@@ -202,31 +288,43 @@ func FuzzFusedAgainstScalar(f *testing.F) {
 	f.Add(uint32(7), uint32(0x1F0F), uint32(0xA5A5A5A5), make([]byte, 200))
 
 	f.Fuzz(func(t *testing.T, a, b, c uint32, data []byte) {
+		// The input as given covers the short regions; a copy tiled out
+		// to 320+len(data) bytes puts every input through the 256-byte
+		// block loop, the 64-byte remainder and the tail as well.
+		long := make([]byte, 320+len(data))
+		for i := range long {
+			long[i] = byte(i * 13)
+			if len(data) > 0 {
+				long[i] ^= data[i%len(data)]
+			}
+		}
 		for _, affine := range []bool{true, false} {
 			prev := SetAffineKernels(affine)
-			for _, field := range []Field{GF8, GF16, GF32} {
-				wb := field.WordBytes()
-				n := len(data) - len(data)%wb
-				if n == 0 {
-					continue
-				}
-				mask := uint32(field.Order() - 1)
-				consts := []uint32{a & mask, b & mask, c & mask}
-				srcs := [][]byte{data[:n], make([]byte, n), make([]byte, n)}
-				for i := 0; i < n; i++ {
-					srcs[1][i] = byte(i * 7)
-					srcs[2][i] = data[n-1-i]
-				}
-				dst := make([]byte, n)
-				copy(dst, data[:n])
-				want := append([]byte(nil), dst...)
+			for _, buf := range [][]byte{data, long} {
+				for _, field := range []Field{GF8, GF16, GF32} {
+					wb := field.WordBytes()
+					n := len(buf) - len(buf)%wb
+					if n == 0 {
+						continue
+					}
+					mask := uint32(field.Order() - 1)
+					consts := []uint32{a & mask, b & mask, c & mask}
+					srcs := [][]byte{buf[:n], make([]byte, n), make([]byte, n)}
+					for i := 0; i < n; i++ {
+						srcs[1][i] = byte(i * 7)
+						srcs[2][i] = buf[n-1-i]
+					}
+					dst := make([]byte, n)
+					copy(dst, buf[:n])
+					want := append([]byte(nil), dst...)
 
-				field.MultXORsMulti(dst, srcs, consts)
-				refMultiXOR(field, want, srcs, consts)
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("GF%d affine=%v: byte %d = %#x want %#x",
-							field.W(), affine, i, dst[i], want[i])
+					field.MultXORsMulti(dst, srcs, consts)
+					refMultiXOR(field, want, srcs, consts)
+					for i := range dst {
+						if dst[i] != want[i] {
+							t.Fatalf("GF%d affine=%v n=%d: byte %d = %#x want %#x",
+								field.W(), affine, n, i, dst[i], want[i])
+						}
 					}
 				}
 			}

@@ -18,6 +18,7 @@
 package gf
 
 import (
+	"crypto/subtle"
 	"fmt"
 )
 
@@ -121,26 +122,10 @@ func checkRegions(dst, src []byte, wordBytes int) {
 	}
 }
 
-// xorRegion is the shared a==1 fast path: dst ^= src, eight bytes at a
-// time. Region lengths are word-multiples, so the tail loop handles at
-// most 7 bytes.
+// xorRegion is the shared a==1 fast path: dst ^= src, through the
+// standard library's vectorised XOR.
 func xorRegion(dst, src []byte) {
-	n := len(dst) &^ 7
-	for i := 0; i < n; i += 8 {
-		d := dst[i : i+8 : i+8]
-		s := src[i : i+8 : i+8]
-		d[0] ^= s[0]
-		d[1] ^= s[1]
-		d[2] ^= s[2]
-		d[3] ^= s[3]
-		d[4] ^= s[4]
-		d[5] ^= s[5]
-		d[6] ^= s[6]
-		d[7] ^= s[7]
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // copyRegion is the MulRegion a==1 fast path.

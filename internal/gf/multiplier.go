@@ -89,7 +89,7 @@ func (m *multiplier8) MultXOR(dst, src []byte) {
 	checkRegions(dst, src, 1)
 	if useAffine && len(dst) >= 64 {
 		n64 := len(dst) &^ 63
-		gf8AffineXorAsm(&dst[0], &src[0], n64, m.aff)
+		gf8FusedAsm(&dst[0], nil, 0, &src, &m.aff, 1, n64)
 		if n64 == len(dst) {
 			return
 		}
