@@ -7,11 +7,11 @@ import (
 
 // TestRepeatedDecodeAllocationFree pins the steady-state contract of
 // the rebuild workload end to end: with a cached (or explicitly reused)
-// plan and one thread, every per-stripe structure — compiled row
-// kernels, tile view arenas, Normal-sequence scratch, executor
-// sessions — comes from plan state or pools, so a repeated decode
-// performs zero heap allocations even though the kernel underneath now
-// sweeps the sectors tile by tile.
+// plan, every per-stripe structure — compiled row kernels, tile view
+// arenas, Normal-sequence scratch, executor sessions and their group
+// fan-out task, worker-pool run state — comes from plan state or
+// pools, so a repeated decode performs zero heap allocations at one
+// thread and across the T=4 group fan-out alike.
 func TestRepeatedDecodeAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool deliberately drops items; alloc counts are meaningless")
@@ -26,7 +26,7 @@ func TestRepeatedDecodeAllocationFree(t *testing.T) {
 	}
 	// 512 KiB stripe: sectors span several 32 KiB tiles, so the tiled
 	// drivers run their multi-tile loops, while staying below the
-	// parallel fan-out cutoff on the serial T=1 path.
+	// kernel's byte-range fan-out cutoff.
 	st, err := StripeForCode(sd, 512<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -36,28 +36,30 @@ func TestRepeatedDecodeAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dec := NewDecoder(sd, WithThreads(1))
-	plan, err := dec.Plan(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(st, sc); err != nil { // warm plan cache and pools
-		t.Fatal(err)
-	}
+	for _, threads := range []int{1, 4} {
+		dec := NewDecoder(sd, WithThreads(threads))
+		plan, err := dec.Plan(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(st, sc); err != nil { // warm plan cache and pools
+			t.Fatal(err)
+		}
 
-	if avg := testing.AllocsPerRun(20, func() {
-		if err := dec.DecodeWithPlan(plan, st); err != nil {
-			t.Fatal(err)
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := dec.DecodeWithPlan(plan, st); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("T=%d: DecodeWithPlan allocates %.1f/op, want 0", threads, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("DecodeWithPlan allocates %.1f/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(20, func() {
-		if err := dec.Decode(st, sc); err != nil {
-			t.Fatal(err)
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := dec.Decode(st, sc); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("T=%d: cached Decode allocates %.1f/op, want 0", threads, avg)
 		}
-	}); avg != 0 {
-		t.Errorf("cached Decode allocates %.1f/op, want 0", avg)
 	}
 }
 

@@ -420,41 +420,3 @@ func BenchmarkSmallWrite(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationBackends compares the table-driven engine against
-// the Cauchy-RS bit-matrix engine (paper reference [8]) on the same
-// decode. The winner depends on coefficient bit-density; both are
-// measured here on the worked-geometry worst case.
-func BenchmarkAblationBackends(b *testing.B) {
-	sd, sc := sdWorstCase(b, 8, 16, 2, 2, 1)
-	for _, be := range []struct {
-		name string
-		bk   Backend
-	}{
-		{"table", BackendTable},
-		{"bitmatrix", BackendBitMatrix},
-	} {
-		be := be
-		b.Run(be.name, func(b *testing.B) {
-			dec := NewDecoder(sd, WithThreads(4), WithBackend(be.bk))
-			st, err := StripeForCode(sd, benchStripeBytes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.FillDataRandom(1, DataPositions(sd))
-			if err := dec.Encode(st); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(st.TotalBytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st.Scribble(int64(i), sc.Faulty)
-				b.StartTimer()
-				if err := dec.Decode(st, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -18,7 +18,6 @@ type Decoder struct {
 	strategy Strategy
 	stats    *kernel.Stats
 	hybrid   bool
-	backend  Backend
 	cacheCap int
 	cache    *planCache
 	partials *partialCache
@@ -144,9 +143,6 @@ func (d *Decoder) DecodeWithPlan(plan *Plan, st *stripe.Stripe) error {
 
 // execute dispatches to the configured executor.
 func (d *Decoder) execute(plan *Plan, st *stripe.Stripe) error {
-	if d.backend == BackendBitMatrix {
-		return executeBitMatrix(d, plan, st)
-	}
 	if d.hybrid {
 		return ExecuteHybrid(plan, st, d.code.Field(), d.threads, d.stats)
 	}

@@ -71,16 +71,8 @@ func Execute(p *Plan, st *stripe.Stripe, field gf.Field, threads int, stats *ker
 		// persistent pool; each group's outcome lands in its own slot
 		// and the lowest-indexed failure wins.
 		errs := s.errSlots(len(p.Groups))
-		//ppm:hotpath
-		poolErr := kernel.DefaultWorkers().Run(t, func(w int) error {
-			for g := w; g < len(p.Groups); g += t {
-				if err := applySubDecode(&p.Groups[g], field, s.ins[g], s.outs[g], stats); err != nil {
-					errs[g] = err
-					return err
-				}
-			}
-			return nil
-		})
+		s.plan, s.field, s.stride, s.stats = p, field, t, stats
+		poolErr := kernel.DefaultWorkers().Run(t, s.groupTask)
 		for _, err := range errs {
 			if err != nil {
 				return err

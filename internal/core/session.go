@@ -11,13 +11,14 @@ import (
 
 // execSession is the reusable per-decode state of the standard
 // executor: an arena of sector-view slice headers, the per-group
-// in/out view pairs, and the per-group error slots. Sessions circulate
-// through a sync.Pool, so the repeated-decode path — one plan executed
-// against thousands of stripes during a whole-disk rebuild — allocates
-// nothing per stripe beyond the worker pool's fixed dispatch state.
+// in/out view pairs, the per-group error slots, and the group fan-out
+// task. Sessions circulate through a sync.Pool, so the repeated-decode
+// path — one plan executed against thousands of stripes during a
+// whole-disk rebuild — allocates nothing per stripe at any thread
+// count.
 //
-// A session is owned by exactly one Execute call; the stripe views it
-// holds are cleared on release so the pool never pins stripe buffers.
+// A session is owned by exactly one Execute call; the stripe views and
+// plan it holds are cleared on release so the pool never pins them.
 //
 //ppm:nocopy
 type execSession struct {
@@ -26,9 +27,22 @@ type execSession struct {
 	ins   [][][]byte
 	outs  [][][]byte
 	errs  []error
+
+	// Fan-out state read by runGroups. groupTask is the method value
+	// s.runGroups, built once per session so handing it to the worker
+	// pool allocates no closure per decode.
+	plan      *Plan
+	field     gf.Field
+	stride    int
+	stats     *kernel.Stats
+	groupTask func(int) error
 }
 
-var sessionPool = sync.Pool{New: func() interface{} { return new(execSession) }}
+var sessionPool = sync.Pool{New: func() interface{} {
+	s := new(execSession)
+	s.groupTask = s.runGroups
+	return s
+}}
 
 func getSession() *execSession {
 	s := sessionPool.Get().(*execSession)
@@ -40,7 +54,24 @@ func (s *execSession) release() {
 	for i := range s.views {
 		s.views[i] = nil // do not pin stripe buffers in the pool
 	}
+	s.plan, s.field, s.stats = nil, nil, nil
 	sessionPool.Put(s)
+}
+
+// runGroups is worker w's share of Execute's group fan-out: it decodes
+// groups w, w+T, w+2T, ... (thread g mod T owns group g, as in
+// Algorithm 1), recording each failure in the group's error slot.
+//
+//ppm:hotpath
+func (s *execSession) runGroups(w int) error {
+	groups := s.plan.Groups
+	for g := w; g < len(groups); g += s.stride {
+		if err := applySubDecode(&groups[g], s.field, s.ins[g], s.outs[g], s.stats); err != nil {
+			s.errs[g] = err
+			return err
+		}
+	}
+	return nil
 }
 
 // reserveViews sizes the arena for n sector views.

@@ -59,8 +59,11 @@ func DefaultWorkers() *Workers {
 
 // runState is the shared state of one Run call. Task indices are
 // claimed atomically so a single task closure serves every submission.
+// States are pooled, and task is the method value st.runOne built once
+// per state, so a Run allocates nothing.
 type runState struct {
 	fn   func(int) error
+	task func()
 	next atomic.Int64
 	wg   sync.WaitGroup
 
@@ -68,6 +71,12 @@ type runState struct {
 	idx int
 	err error
 }
+
+var runStatePool = sync.Pool{New: func() interface{} {
+	st := new(runState)
+	st.task = st.runOne
+	return st
+}}
 
 func (st *runState) runOne() {
 	defer st.wg.Done()
@@ -94,18 +103,24 @@ func (w *Workers) Run(n int, fn func(i int) error) error {
 	if n == 1 {
 		return callTask(fn, 0)
 	}
-	st := &runState{fn: fn, idx: -1}
+	st := runStatePool.Get().(*runState)
+	st.fn, st.idx, st.err = fn, -1, nil
+	st.next.Store(0)
 	st.wg.Add(n)
-	task := st.runOne
 	for i := 0; i < n; i++ {
 		select {
-		case w.tasks <- task:
+		case w.tasks <- st.task:
 		default:
-			task()
+			st.task()
 		}
 	}
+	// Every runOne has called wg.Done as its last action, so no worker
+	// touches st after Wait returns and it can be recycled.
 	st.wg.Wait()
-	return st.err
+	err := st.err
+	st.fn, st.err = nil, nil
+	runStatePool.Put(st)
+	return err
 }
 
 // callTask invokes fn(i), converting a panic into an error.

@@ -1,7 +1,7 @@
 // Package planverify is the symbolic plan verifier: an abstract
 // interpreter that walks every kind of compiled artifact the repository
-// ships — xorplan straight-line XOR programs, bitmatrix set schedules,
-// core decode plans, repair plans and delta-update columns — and proves
+// ships — xorplan straight-line XOR programs, core decode plans,
+// repair plans and delta-update columns — and proves
 // each one algebraically equal to its source coefficient matrix. No
 // sampling: where the differential fuzzers compare outputs on random
 // inputs, this package tracks every buffer and arena slot as a symbolic
@@ -41,8 +41,8 @@ import "fmt"
 // breaks the proof. The zero OpIndex ambiguity is avoided by using -1
 // for findings that are not op-specific.
 type Finding struct {
-	// Object names the artifact kind: "xorplan-program", "set-schedule",
-	// "decode-plan", "repair-plan" or "updater".
+	// Object names the artifact kind: "xorplan-program", "decode-plan",
+	// "repair-plan" or "updater".
 	Object string `json:"object"`
 	// Detail identifies the instance (code, scenario, backend) when the
 	// finding comes from a sweep; empty for direct Verify* calls.

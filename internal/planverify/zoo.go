@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ppm/internal/bitmatrix"
 	"ppm/internal/codes"
 	"ppm/internal/core"
 	"ppm/internal/matrix"
@@ -92,13 +91,11 @@ type SweepStats struct {
 	Plans     int `json:"plans"`
 	Repairs   int `json:"repairs"`
 	Programs  int `json:"programs"`
-	Schedules int `json:"schedules"`
 	Updaters  int `json:"updaters"`
 }
 
 // sweepMatrices collects the distinct coefficient matrices one core
-// plan applies, so the sweep can prove their xorplan and bit-matrix
-// lowerings too.
+// plan applies, so the sweep can prove their xorplan lowerings too.
 func sweepMatrices(p *core.Plan) []*matrix.Matrix {
 	var ms []*matrix.Matrix
 	addSub := func(sd *core.SubDecode) {
@@ -125,8 +122,8 @@ func sweepMatrices(p *core.Plan) []*matrix.Matrix {
 // Sweep proves every compiled artifact of the zoo: core decode plans
 // (the PPM partition and, for the encoding scenario, the auto-resolved
 // strategy), repair plans (full and single-sector wanted sets), the
-// xorplan program and optimised bit-matrix schedule of every plan
-// matrix, and each code's delta-parity updater. seed feeds the random
+// xorplan program of every plan matrix, and each code's delta-parity
+// updater. seed feeds the random
 // max-tolerance scenarios.
 func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 	var fs []Finding
@@ -172,8 +169,6 @@ func Sweep(zoo []ZooCode, seed int64, extra int) ([]Finding, SweepStats) {
 						fs = append(fs, stamp(VerifyProgram(f, m, prog), detail)...)
 						stats.Programs++
 					}
-					fs = append(fs, stamp(VerifySchedule(f, m, bitmatrix.Expand(f, m).Optimize()), detail)...)
-					stats.Schedules++
 				}
 			}
 

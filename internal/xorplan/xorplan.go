@@ -11,10 +11,9 @@
 // row therefore becomes a set of derived sources D(j,k) = x^k ⊗ in[j],
 // and the whole matrix application a pure XOR program over the native
 // word-interleaved layout — byte-identical with the table and affine
-// paths, unlike the bit-packetised bitmatrix back end.
+// paths.
 //
-// The program is then optimised exactly as the bitmatrix schedule pass
-// does it — bitmatrix.ScheduleSets runs common-subexpression
+// The program is then optimised — ScheduleSets runs common-subexpression
 // extraction over shared source pairs and Prim derivative scheduling
 // over the output rows (the program-optimization view of XOR codes,
 // Uezato arXiv:2108.02692) — and lowered further for execution:
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"ppm/internal/bitmatrix"
 	"ppm/internal/gf"
 	"ppm/internal/matrix"
 )
@@ -127,7 +125,7 @@ type Program struct {
 	instrs     []instr
 	outs       []outOp
 	derivative bool
-	xors       int // scheduled region-XOR count (bitmatrix metric)
+	xors       int // scheduled region-XOR count (SetSchedule.XORCount)
 	ones       int // unscheduled count: total set bits of the expansion
 }
 
@@ -145,10 +143,32 @@ func Compile(f gf.Field, m *matrix.Matrix) (*Program, error) {
 		return nil, fmt.Errorf("xorplan: empty %dx%d matrix", rows, cols)
 	}
 	inCount := cols * w
-	sets := make([][]int, rows)
-	ones := 0
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
+	sets, ones := rowSets(w, m)
+	maxSet := 0
+	for _, s := range sets {
+		if len(s) > maxSet {
+			maxSet = len(s)
+		}
+	}
+	var sched *SetSchedule
+	if ones > maxScheduledOnes || maxSet > maxScheduledSet {
+		sched = flatSets(sets, inCount, ones)
+	} else {
+		sched = ScheduleSets(sets, inCount)
+	}
+	if err := sched.Validate(); err != nil {
+		return nil, fmt.Errorf("xorplan: scheduler emitted an invalid program: %w", err)
+	}
+	return lower(w, rows, cols, sched, ones)
+}
+
+// rowSets expands m into its polynomial-ring row sets: row i holds the
+// derived-source id j*w + k for every set bit k of m[i][j], sorted
+// ascending. ones is the total set-bit count.
+func rowSets(w int, m *matrix.Matrix) (sets [][]int, ones int) {
+	sets = make([][]int, m.Rows())
+	for i := range sets {
+		for j := 0; j < m.Cols(); j++ {
 			a := m.At(i, j)
 			for k := 0; k < w; k++ {
 				if a>>uint(k)&1 == 1 {
@@ -158,30 +178,15 @@ func Compile(f gf.Field, m *matrix.Matrix) (*Program, error) {
 			}
 		}
 	}
-	maxSet := 0
-	for _, s := range sets {
-		if len(s) > maxSet {
-			maxSet = len(s)
-		}
-	}
-	var sched *bitmatrix.SetSchedule
-	if ones > maxScheduledOnes || maxSet > maxScheduledSet {
-		sched = flatSets(sets, inCount, ones)
-	} else {
-		sched = bitmatrix.ScheduleSets(sets, inCount)
-	}
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("xorplan: scheduler emitted an invalid program: %w", err)
-	}
-	return lower(w, rows, cols, sched, ones)
+	return sets, ones
 }
 
 // flatSets builds the unoptimised schedule: no temps, no derivatives,
 // every output row the plain XOR of its derived sources.
-func flatSets(sets [][]int, inCount, ones int) *bitmatrix.SetSchedule {
-	s := &bitmatrix.SetSchedule{Rows: len(sets), InCount: inCount, XORCount: ones}
+func flatSets(sets [][]int, inCount, ones int) *SetSchedule {
+	s := &SetSchedule{Rows: len(sets), InCount: inCount, XORCount: ones}
 	for i, set := range sets {
-		s.Ops = append(s.Ops, bitmatrix.SetOp{Dst: i, From: -1, Srcs: set})
+		s.Ops = append(s.Ops, SetOp{Dst: i, From: -1, Srcs: set})
 	}
 	return s
 }
@@ -190,7 +195,7 @@ func flatSets(sets [][]int, inCount, ones int) *bitmatrix.SetSchedule {
 // derived-source chains, temp defs and output ops in one linear order,
 // with arena slots assigned by linear-scan liveness so the working set
 // is the maximum concurrently-live temps.
-func lower(w, rows, cols int, sched *bitmatrix.SetSchedule, ones int) (*Program, error) {
+func lower(w, rows, cols int, sched *SetSchedule, ones int) (*Program, error) {
 	inCount := cols * w
 	total := inCount + len(sched.Temps)
 	// slotBacked: derived sources x^k ⊗ in[j] with k >= 1, and CSE
@@ -403,7 +408,7 @@ func (p *Program) Slots() int { return p.nslots }
 func (p *Program) HasDerivative() bool { return p.derivative }
 
 // XORs returns the scheduled region-XOR count of one run, in the
-// bitmatrix schedule metric — compare against Ones.
+// SetSchedule.XORCount metric — compare against Ones.
 func (p *Program) XORs() int { return p.xors }
 
 // Ones returns the unscheduled count: the total set bits of the

@@ -368,9 +368,6 @@ func TestCompileCachedCounters(t *testing.T) {
 	}
 }
 
-// TestScheduleBeatsNaive pins that the scheduler actually pays for
-// itself on dense matrices: scheduled XORs strictly below the naive
-// set-bit count.
 // TestDenseMatrixCompilesFlatAndFast pins the scheduler gate: a wide
 // dense matrix (the whole-strategy G of a cost-analysis sweep) must
 // lower flat — the CSE pair scan on such expansions is near-cubic and
@@ -411,6 +408,9 @@ func TestDenseMatrixCompilesFlatAndFast(t *testing.T) {
 	}
 }
 
+// TestScheduleBeatsNaive pins that the scheduler actually pays for
+// itself on dense matrices: scheduled XORs strictly below the naive
+// set-bit count.
 func TestScheduleBeatsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	for _, f := range testFields {
