@@ -17,7 +17,7 @@ test:
 # 2 and 4: worker-pool and fan-out paths change with the core budget,
 # so one pass at the host default cannot vouch for them.
 test-cpus:
-	$(GO) test -cpu 1,2,4 -run 'Alloc' ./internal/gf ./internal/kernel ./internal/core ./internal/fault ./internal/pipeline .
+	$(GO) test -cpu 1,2,4 -run 'Alloc' ./internal/gf ./internal/kernel ./internal/core ./internal/repair ./internal/fault ./internal/pipeline .
 
 test-short:
 	$(GO) test -short ./...
@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xorplan -run=^$$ -fuzz=FuzzProgramVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/xorplan -run=^$$ -fuzz=FuzzExpandApply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/planverify -run=^$$ -fuzz=FuzzVerifierVsDifferential -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run=^$$ -fuzz=FuzzBuildPlan -fuzztime=$(FUZZTIME)
 
 # Pointer-safety instrumentation over the packages that sit on the
 # Go/assembly boundary.

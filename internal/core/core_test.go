@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -420,6 +421,18 @@ func TestStrategyStrings(t *testing.T) {
 func TestDefaultThreads(t *testing.T) {
 	if got := DefaultThreads(); got < 1 || got > 4 {
 		t.Fatalf("DefaultThreads = %d", got)
+	}
+}
+
+// TestDefaultThreadsFollowsGOMAXPROCS: the default T is
+// min(4, GOMAXPROCS), so a lowered GOMAXPROCS narrows the group fan-out.
+func TestDefaultThreadsFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs, want := range map[int]int{1: 1, 2: 2, 3: 3, 4: 4, 6: 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := DefaultThreads(); got != want {
+			t.Errorf("GOMAXPROCS=%d: DefaultThreads = %d, want %d", procs, got, want)
+		}
 	}
 }
 

@@ -91,9 +91,10 @@ func Execute(p *Plan, st *stripe.Stripe, field gf.Field, threads int, stats *ker
 	return nil
 }
 
-// DefaultThreads is the paper's thread policy: min(4, core count).
+// DefaultThreads is the paper's thread policy: min(4, core count),
+// where the core count is GOMAXPROCS.
 func DefaultThreads() int {
-	if c := runtime.NumCPU(); c < 4 {
+	if c := runtime.GOMAXPROCS(0); c < 4 {
 		return c
 	}
 	return 4

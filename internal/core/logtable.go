@@ -33,24 +33,29 @@ type LogTable struct {
 // BuildLogTable scans H against the faulty column set. faulty must be
 // sorted ascending (codes.Scenario guarantees it).
 func BuildLogTable(h *matrix.Matrix, faulty []int) *LogTable {
-	lt := &LogTable{Rows: make([]LogRow, h.Rows())}
+	pl := getPlanner(h, faulty)
+	defer pl.release()
+	lt := new(LogTable)
+	pl.logTable(lt)
+	return lt
+}
+
+// logTable fills lt from the scanned row supports: l_i is the faulty
+// part of row i's support. Every l_i is a window of one backing array,
+// capped so that no list can grow into its neighbour's.
+func (pl *planner) logTable(lt *LogTable) {
 	total := 0
-	for i := 0; i < h.Rows(); i++ {
-		row := h.Row(i)
-		for _, col := range faulty {
-			if row[col] != 0 {
-				total++
-			}
+	for _, col := range pl.supp {
+		if pl.faulty[col] {
+			total++
 		}
 	}
-	// Every l_i is a window of one backing array, capped so that no
-	// list can grow into its neighbour's.
 	cols := make([]int, 0, total)
-	for i := 0; i < h.Rows(); i++ {
-		row := h.Row(i)
+	lt.Rows = make([]LogRow, len(pl.off)-1)
+	for i := range lt.Rows {
 		start := len(cols)
-		for _, col := range faulty {
-			if row[col] != 0 {
+		for _, col := range pl.support(i) {
+			if pl.faulty[col] {
 				cols = append(cols, col)
 			}
 		}
@@ -60,11 +65,10 @@ func BuildLogTable(h *matrix.Matrix, faulty []int) *LogTable {
 		}
 		lt.Rows[i] = lr
 	}
-	return lt
 }
 
-// appendKey appends l_i, comma-separated, to dst: the key that groups
-// rows with identical lists, and the table's printed form.
+// appendKey appends l_i, comma-separated, to dst: the table's printed
+// form.
 func (lr LogRow) appendKey(dst []byte) []byte {
 	for i, c := range lr.L {
 		if i > 0 {

@@ -2,8 +2,8 @@ package core
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"ppm/internal/codes"
@@ -294,10 +294,8 @@ func (d *Decoder) partialFor(plan *Plan, sc codes.Scenario, wanted []int) (*Part
 	}
 	var arr [160]byte
 	key := planKey(arr[:0], sc, d.strategy)
-	key = append(key, '|')
 	for _, w := range wanted {
-		key = strconv.AppendInt(key, int64(w), 10)
-		key = append(key, ',')
+		key = binary.AppendUvarint(key, uint64(w))
 	}
 	if sel := d.partials.get(key); sel != nil {
 		return sel, nil

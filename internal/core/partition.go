@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"ppm/internal/matrix"
 )
 
 // Group is one independent sub-matrix H_i of the partition: Rows are the
@@ -73,77 +72,102 @@ func (pt *Partition) allSingleton() bool {
 //   - Surplus rows. If more than f rows share the same l_i, the first f
 //     are extracted and the surplus goes to H_rest, keeping F_i square.
 func BuildPartition(lt *LogTable, faulty []int) *Partition {
-	pt := &Partition{}
+	pl := plannerPool.Get().(*planner)
+	defer pl.release()
+	pt := new(Partition)
+	pl.partition(lt, faulty, pt)
+	return pt
+}
+
+// partition fills pt from the log table. Rows with identical l_i are
+// bucketed by comparing the lists directly, in first-appearance order;
+// each extracted group's Rows is a window of one backing array shared
+// with H_rest's rows and faulty columns, and its FaultyCols is the
+// group's l_i itself.
+func (pl *planner) partition(lt *LogTable, faulty []int, pt *Partition) {
 	maxCol := -1
 	for _, col := range faulty {
 		maxCol = max(maxCol, col)
 	}
-	claimed := make([]bool, maxCol+1)
-	usedRow := make([]bool, len(lt.Rows))
+	claimed := cleared(&pl.claimed, maxCol+1)
+	bucketed := cleared(&pl.bucketed, len(lt.Rows))
+	used := cleared(&pl.used, len(lt.Rows))
 
-	// Bucket rows by identical l_i, preserving first-appearance order.
-	type bucket struct {
-		l    []int
-		rows []int
-	}
-	var order []*bucket
-	buckets := make(map[string]*bucket)
-	var key []byte
-	for _, lr := range lt.Rows {
-		if lr.T == 0 {
-			continue // row touches no faulty block; it stays in H_rest
+	// picks collects each extracted group's rows, group after group (a
+	// group's first row carries its l_i), then H_rest's rows and faulty
+	// columns: the windows of the partition's one backing array.
+	picks := pl.picks[:0]
+	groups := 0
+	for i, lr := range lt.Rows {
+		if lr.T == 0 || bucketed[i] {
+			continue // no faulty block (the row stays out), or bucketed
 		}
-		key = lr.appendKey(key[:0])
-		b, ok := buckets[string(key)]
-		if !ok {
-			b = &bucket{l: lr.L}
-			buckets[string(key)] = b
-			order = append(order, b)
-		}
-		b.rows = append(b.rows, lr.Row)
-	}
-
-	for _, b := range order {
-		f := len(b.l)
-		if len(b.rows) < f {
-			continue // under-determined alone; resolved in H_rest
-		}
-		disjoint := true
-		for _, col := range b.l {
-			if claimed[col] {
-				disjoint = false
-				break
+		start := len(picks)
+		picks = append(picks, i)
+		n := 1
+		for j := i + 1; j < len(lt.Rows); j++ {
+			if !bucketed[j] && slices.Equal(lt.Rows[j].L, lr.L) {
+				bucketed[j] = true
+				if n < lr.T {
+					picks = append(picks, j)
+				}
+				n++
 			}
 		}
-		if !disjoint {
+		// Too few rows leaves the bucket under-determined alone, and a
+		// claimed column would let two sub-decodes write one block:
+		// either way the rows are resolved in H_rest.
+		disjoint := true
+		for _, col := range lr.L {
+			disjoint = disjoint && !claimed[col]
+		}
+		if n < lr.T || !disjoint {
+			picks = picks[:start]
 			continue
 		}
-		g := Group{
-			Rows:       append([]int(nil), b.rows[:f]...),
-			FaultyCols: append([]int(nil), b.l...),
-		}
-		for _, col := range g.FaultyCols {
+		for _, col := range lr.L {
 			claimed[col] = true
 		}
-		for _, r := range g.Rows {
-			usedRow[r] = true
+		for _, r := range picks[start:] {
+			used[r] = true
 		}
-		pt.Groups = append(pt.Groups, g)
+		groups++
 	}
 
-	for _, lr := range lt.Rows {
-		// Rows with t_i == 0 have zero coefficients in every faulty
-		// column; they contribute nothing to F_rest and are dropped.
-		if !usedRow[lr.Row] && lr.T > 0 {
-			pt.RestRows = append(pt.RestRows, lr.Row)
+	// Then H_rest: its rows and its faulty columns. Rows with t_i == 0
+	// have zero coefficients in every faulty column; they contribute
+	// nothing to F_rest and are dropped.
+	restStart := len(picks)
+	for i, lr := range lt.Rows {
+		if lr.T > 0 && !used[i] {
+			picks = append(picks, i)
 		}
 	}
+	faultyStart := len(picks)
 	for _, col := range faulty {
 		if !claimed[col] {
-			pt.RestFaulty = append(pt.RestFaulty, col)
+			picks = append(picks, col)
 		}
 	}
-	return pt
+	pl.picks = picks
+
+	ints := make([]int, len(picks))
+	copy(ints, picks)
+	if groups > 0 {
+		pt.Groups = make([]Group, 0, groups)
+	}
+	for k := 0; k < restStart; {
+		lr := lt.Rows[ints[k]]
+		end := k + lr.T
+		pt.Groups = append(pt.Groups, Group{Rows: ints[k:end:end], FaultyCols: lr.L})
+		k = end
+	}
+	if faultyStart > restStart {
+		pt.RestRows = ints[restStart:faultyStart:faultyStart]
+	}
+	if len(ints) > faultyStart {
+		pt.RestFaulty = ints[faultyStart:]
+	}
 }
 
 // demote moves a group's rows and columns back into H_rest. The plan
@@ -152,27 +176,11 @@ func BuildPartition(lt *LogTable, faulty []int) *Partition {
 // correctness at the price of parallelism.
 func (pt *Partition) demote(i int) {
 	g := pt.Groups[i]
-	pt.Groups = append(pt.Groups[:i], pt.Groups[i+1:]...)
-	pt.RestRows = append(pt.RestRows, g.Rows...)
-	pt.RestFaulty = append(pt.RestFaulty, g.FaultyCols...)
-	sortInts(pt.RestRows)
-	sortInts(pt.RestFaulty)
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// SubMatrix extracts the group's H_i from H with all-zero columns
-// dropped, returning the matrix and the global indices of its columns.
-func (g Group) SubMatrix(h *matrix.Matrix) (*matrix.Matrix, []int) {
-	sub := h.SelectRows(g.Rows)
-	cols := sub.NonzeroColumns()
-	return sub.SelectColumns(cols), cols
+	pt.Groups = slices.Delete(pt.Groups, i, i+1)
+	pt.RestRows = slices.Concat(pt.RestRows, g.Rows)
+	pt.RestFaulty = slices.Concat(pt.RestFaulty, g.FaultyCols)
+	slices.Sort(pt.RestRows)
+	slices.Sort(pt.RestFaulty)
 }
 
 // String renders the partition in Figure 3's vocabulary.

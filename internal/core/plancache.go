@@ -2,7 +2,7 @@ package core
 
 import (
 	"container/list"
-	"strconv"
+	"encoding/binary"
 	"sync"
 
 	"ppm/internal/codes"
@@ -41,14 +41,18 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// planKey canonicalises a failure pattern + strategy into a byte key.
+// planKey canonicalises a failure pattern + strategy into a byte key:
+// uvarints of the strategy, the erasure count and each faulty sector.
 // Scenario.Faulty is sorted (codes.NewScenario and the generators
-// guarantee it), so equal patterns render equal keys.
+// guarantee it), so equal patterns render equal keys, and the count
+// prefix keeps the key unambiguous when callers append more uvarints.
+// Sectors below 128 take one byte each, so the lookup keys of
+// multi-disk patterns stay in the caller's stack buffer.
 func planKey(buf []byte, sc codes.Scenario, strategy Strategy) []byte {
-	buf = strconv.AppendInt(buf, int64(strategy), 10)
+	buf = binary.AppendUvarint(buf, uint64(strategy))
+	buf = binary.AppendUvarint(buf, uint64(len(sc.Faulty)))
 	for _, f := range sc.Faulty {
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(f), 10)
+		buf = binary.AppendUvarint(buf, uint64(f))
 	}
 	return buf
 }

@@ -135,6 +135,21 @@ func TestSharedGroupProgramsSD(t *testing.T) {
 // row-scaled copies of each other, so they share one G.
 type demotingCode struct{ h *matrix.Matrix }
 
+// newDemotingCode returns the code and the scenario losing all three
+// candidate groups' columns.
+func newDemotingCode() (*demotingCode, codes.Scenario) {
+	c := &demotingCode{h: matrix.FromRows(gf.GF8, [][]uint32{
+		{1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		{1, 2, 4, 8, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0},    // proportional to the next
+		{0, 0, 0, 0, 2, 2, 0, 1, 0, 0, 0, 0},    // row on {4,5}: singular F
+		{0, 0, 0, 0, 1, 2, 1, 1, 0, 0, 0, 0},    // surplus row, breaks the tie
+		{0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3},    // 3 * row 0
+		{0, 0, 0, 0, 0, 0, 0, 0, 5, 10, 20, 40}, // 5 * row 1
+	})}
+	return c, codes.Scenario{Faulty: []int{0, 1, 4, 5, 8, 9}}
+}
+
 func (c *demotingCode) Name() string                { return "demoting" }
 func (c *demotingCode) Field() gf.Field             { return gf.GF8 }
 func (c *demotingCode) NumStrips() int              { return 12 }
@@ -146,16 +161,7 @@ func (c *demotingCode) ParityPositions() []int      { return []int{0, 1, 4, 5, 7
 // partition settles, so it survives Partition.demote re-indexing the
 // groups.
 func TestSharedGroupProgramsAfterDemotion(t *testing.T) {
-	c := &demotingCode{h: matrix.FromRows(gf.GF8, [][]uint32{
-		{1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0},
-		{1, 2, 4, 8, 0, 0, 0, 0, 0, 0, 0, 0},
-		{0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0},    // proportional to the next
-		{0, 0, 0, 0, 2, 2, 0, 1, 0, 0, 0, 0},    // row on {4,5}: singular F
-		{0, 0, 0, 0, 1, 2, 1, 1, 0, 0, 0, 0},    // surplus row, breaks the tie
-		{0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3},    // 3 * row 0
-		{0, 0, 0, 0, 0, 0, 0, 0, 5, 10, 20, 40}, // 5 * row 1
-	})}
-	sc := codes.Scenario{Faulty: []int{0, 1, 4, 5, 8, 9}}
+	c, sc := newDemotingCode()
 	plan, err := core.BuildPlan(c, sc, core.StrategyPPM)
 	if err != nil {
 		t.Fatal(err)

@@ -38,9 +38,11 @@ import (
 //   - Field.MultXORsMulti(dst, srcs, consts): resolves each constant's
 //     lookup tables on the fly (memoized per field, so resolution is a
 //     cache hit after first use). Zero constants are skipped.
-//   - CompileRow(f, consts): pre-resolves the tables once, for plans
-//     that apply the same row thousands of times. The returned RowKernel
-//     is immutable and safe for concurrent use.
+//   - CompileRows(f, rows, cols, coeffs): pre-resolves the tables once,
+//     for plans that apply the same matrix thousands of times. Every
+//     row's terms are carved from one array; the returned RowKernels are
+//     immutable and safe for concurrent use. CompileRow is its one-row
+//     form.
 //
 // Both batch terms in groups of maxFusedTerms so the per-term table
 // pointers live in fixed-size stack arrays — no per-call allocation.
@@ -59,6 +61,11 @@ type RowKernel interface {
 	// Terms returns the number of nonzero coefficients the row applies —
 	// the mult_XORs cost of one MultXOR call.
 	Terms() int
+	// Term returns the k-th nonzero term in column order: its source
+	// column and the multiplier MultXOR applies to it. Reading a
+	// compiled row back this way recovers exactly the coefficients the
+	// fused loops run.
+	Term(k int) (col int, m Multiplier)
 	// MultXOR applies the row: dst[i] ^= Σ_k a_k * srcs[k][i].
 	// len(srcs) must equal the length of the consts slice the row was
 	// compiled from; sources at zero-coefficient positions are ignored
@@ -70,59 +77,84 @@ type RowKernel interface {
 // are skipped at compile time; the fused apply touches only the nonzero
 // positions of srcs.
 func CompileRow(f Field, consts []uint32) RowKernel {
+	return CompileRows(f, 1, len(consts), consts)[0]
+}
+
+// CompileRows lowers a rows x cols row-major coefficient matrix into one
+// RowKernel per row. The row kernels and all their terms are carved
+// from one array each, so compiling a matrix costs three allocations
+// whatever its shape.
+func CompileRows(f Field, rows, cols int, coeffs []uint32) []RowKernel {
+	if len(coeffs) != rows*cols {
+		panic(fmt.Sprintf("gf: %d coefficients for a %dx%d matrix", len(coeffs), rows, cols))
+	}
+	ks := make([]RowKernel, rows)
 	switch ff := f.(type) {
 	case *field8:
-		r := &rowKernel8{n: len(consts), terms: make([]term8, 0, countNonzero(consts, 0xFF))}
-		for j, a := range consts {
-			a &= 0xFF
-			switch {
-			case a == 0:
-			case a == 1:
-				r.terms = append(r.terms, term8{idx: j})
-			default:
-				m := &ff.muls[a]
-				r.terms = append(r.terms, term8{idx: j, row: m.row, aff: m.aff})
+		rs := make([]rowKernel8, rows)
+		terms := make([]term8, 0, countNonzero(coeffs, 0xFF))
+		for i := range rs {
+			start := len(terms)
+			for j, a := range coeffs[i*cols : (i+1)*cols] {
+				switch a &= 0xFF; a {
+				case 0:
+				case 1:
+					terms = append(terms, term8{idx: j})
+				default:
+					terms = append(terms, term8{idx: j, m: &ff.muls[a]})
+				}
 			}
+			rs[i] = rowKernel8{n: cols, terms: terms[start:len(terms):len(terms)]}
+			ks[i] = &rs[i]
 		}
-		return r
 	case *field16:
-		r := &rowKernel16{n: len(consts), terms: make([]term16, 0, countNonzero(consts, 0xFFFF))}
-		for j, a := range consts {
-			a &= 0xFFFF
-			switch {
-			case a == 0:
-			case a == 1:
-				r.terms = append(r.terms, term16{idx: j})
-			default:
-				m := ff.multiplier(a)
-				r.terms = append(r.terms, term16{idx: j, t: m.t, aff: m.aff})
+		rs := make([]rowKernel16, rows)
+		terms := make([]term16, 0, countNonzero(coeffs, 0xFFFF))
+		for i := range rs {
+			start := len(terms)
+			for j, a := range coeffs[i*cols : (i+1)*cols] {
+				switch a &= 0xFFFF; a {
+				case 0:
+				case 1:
+					terms = append(terms, term16{idx: j})
+				default:
+					terms = append(terms, term16{idx: j, m: ff.multiplier(a)})
+				}
 			}
+			rs[i] = rowKernel16{n: cols, terms: terms[start:len(terms):len(terms)]}
+			ks[i] = &rs[i]
 		}
-		return r
 	case field32:
-		r := &rowKernel32{n: len(consts), terms: make([]term32, 0, countNonzero(consts, 0xFFFFFFFF))}
-		for j, a := range consts {
-			switch {
-			case a == 0:
-			case a == 1:
-				r.terms = append(r.terms, term32{idx: j})
-			default:
-				m := ff.multiplier(a)
-				r.terms = append(r.terms, term32{idx: j, t: m.t, aff: m.aff})
+		rs := make([]rowKernel32, rows)
+		terms := make([]term32, 0, countNonzero(coeffs, 0xFFFFFFFF))
+		for i := range rs {
+			start := len(terms)
+			for j, a := range coeffs[i*cols : (i+1)*cols] {
+				switch a {
+				case 0:
+				case 1:
+					terms = append(terms, term32{idx: j})
+				default:
+					terms = append(terms, term32{idx: j, m: ff.multiplier(a)})
+				}
 			}
+			rs[i] = rowKernel32{n: cols, terms: terms[start:len(terms):len(terms)]}
+			ks[i] = &rs[i]
 		}
-		return r
 	default:
 		// Unknown Field implementation: term-at-a-time fallback.
-		r := &rowKernelGeneric{f: f, n: len(consts)}
-		for j, a := range consts {
-			if a != 0 {
-				r.idx = append(r.idx, j)
-				r.consts = append(r.consts, a)
+		for i := range ks {
+			r := &rowKernelGeneric{f: f, n: cols}
+			for j, a := range coeffs[i*cols : (i+1)*cols] {
+				if a != 0 {
+					r.idx = append(r.idx, j)
+					r.consts = append(r.consts, a)
+				}
 			}
+			ks[i] = r
 		}
-		return r
 	}
+	return ks
 }
 
 // countNonzero counts the constants that stay nonzero under the field's
@@ -149,8 +181,7 @@ func checkFused(nsrcs, nconsts int) {
 
 type term8 struct {
 	idx int
-	row []uint8 // nil: coefficient 1 (plain XOR)
-	aff uint64  // affine matrix for the constant
+	m   *multiplier8 // nil: coefficient 1 (plain XOR)
 }
 
 type rowKernel8 struct {
@@ -159,6 +190,14 @@ type rowKernel8 struct {
 }
 
 func (r *rowKernel8) Terms() int { return len(r.terms) }
+
+func (r *rowKernel8) Term(k int) (int, Multiplier) {
+	t := r.terms[k]
+	if t.m == nil {
+		return t.idx, trivialMults[0][1]
+	}
+	return t.idx, t.m
+}
 
 //ppm:hotpath
 func (r *rowKernel8) MultXOR(dst []byte, srcs [][]byte) {
@@ -172,13 +211,13 @@ func (r *rowKernel8) MultXOR(dst []byte, srcs [][]byte) {
 			t := r.terms[i]
 			s := srcs[t.idx]
 			checkRegions(dst, s, 1)
-			if t.row == nil {
+			if t.m == nil {
 				xs[nx] = s
 				nx++
 			} else {
 				ts[nt] = s
-				rows[nt] = t.row
-				affs[nt] = t.aff
+				rows[nt] = t.m.row
+				affs[nt] = t.m.aff
 				nt++
 			}
 		}
@@ -293,8 +332,7 @@ func fuse8Tables(dst []byte, xs, ts [][]byte, rows [][]uint8) {
 
 type term16 struct {
 	idx int
-	t   *[2][256]uint16 // nil: coefficient 1
-	aff *[2][8]uint64
+	m   *multiplier16 // nil: coefficient 1
 }
 
 type rowKernel16 struct {
@@ -303,6 +341,14 @@ type rowKernel16 struct {
 }
 
 func (r *rowKernel16) Terms() int { return len(r.terms) }
+
+func (r *rowKernel16) Term(k int) (int, Multiplier) {
+	t := r.terms[k]
+	if t.m == nil {
+		return t.idx, trivialMults[1][1]
+	}
+	return t.idx, t.m
+}
 
 //ppm:hotpath
 func (r *rowKernel16) MultXOR(dst []byte, srcs [][]byte) {
@@ -316,13 +362,13 @@ func (r *rowKernel16) MultXOR(dst []byte, srcs [][]byte) {
 			t := r.terms[i]
 			s := srcs[t.idx]
 			checkRegions(dst, s, 2)
-			if t.t == nil {
+			if t.m == nil {
 				xs[nx] = s
 				nx++
 			} else {
 				ts[nt] = s
-				tabs[nt] = t.t
-				affs[nt] = t.aff
+				tabs[nt] = t.m.t
+				affs[nt] = t.m.aff
 				nt++
 			}
 		}
@@ -432,8 +478,7 @@ func fuse16Tables(dst []byte, xs, ts [][]byte, tabs []*[2][256]uint16) {
 
 type term32 struct {
 	idx int
-	t   *[4][256]uint32 // nil: coefficient 1
-	aff *[4][8]uint64
+	m   *multiplier32 // nil: coefficient 1
 }
 
 type rowKernel32 struct {
@@ -442,6 +487,14 @@ type rowKernel32 struct {
 }
 
 func (r *rowKernel32) Terms() int { return len(r.terms) }
+
+func (r *rowKernel32) Term(k int) (int, Multiplier) {
+	t := r.terms[k]
+	if t.m == nil {
+		return t.idx, trivialMults[2][1]
+	}
+	return t.idx, t.m
+}
 
 //ppm:hotpath
 func (r *rowKernel32) MultXOR(dst []byte, srcs [][]byte) {
@@ -455,13 +508,13 @@ func (r *rowKernel32) MultXOR(dst []byte, srcs [][]byte) {
 			t := r.terms[i]
 			s := srcs[t.idx]
 			checkRegions(dst, s, 4)
-			if t.t == nil {
+			if t.m == nil {
 				xs[nx] = s
 				nx++
 			} else {
 				ts[nt] = s
-				tabs[nt] = t.t
-				affs[nt] = t.aff
+				tabs[nt] = t.m.t
+				affs[nt] = t.m.aff
 				nt++
 			}
 		}
@@ -575,6 +628,10 @@ type rowKernelGeneric struct {
 }
 
 func (r *rowKernelGeneric) Terms() int { return len(r.idx) }
+
+func (r *rowKernelGeneric) Term(k int) (int, Multiplier) {
+	return r.idx[k], genericMultiplier{f: r.f, a: r.consts[k]}
+}
 
 //ppm:hotpath
 func (r *rowKernelGeneric) MultXOR(dst []byte, srcs [][]byte) {

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -231,6 +232,45 @@ func testCompileRowMatchesMulti(t *testing.T) {
 		for i := range dst {
 			if dst[i] != want[i] {
 				t.Fatalf("GF%d: byte %d = %#x want %#x", f.W(), i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCompileRowsReadBack: CompileRows lowers every row of a matrix
+// like CompileRow does, and Term reads each row's columns and
+// coefficients back in column order, coefficient 1 included.
+func TestCompileRowsReadBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(403))
+	for _, f := range []Field{GF8, GF16, GF32} {
+		const rows, cols = 3, 7
+		size := 24 * f.WordBytes()
+		coeffs := randConsts(rng, f, rows*cols)
+		coeffs[1], coeffs[9], coeffs[20] = 0, 1, 1
+		srcs := randSrcs(rng, cols, size)
+		kerns := CompileRows(f, rows, cols, coeffs)
+		for i, kern := range kerns {
+			row := coeffs[i*cols : (i+1)*cols]
+			k := 0
+			for j, a := range row {
+				if a == 0 {
+					continue
+				}
+				col, m := kern.Term(k)
+				if col != j || m.Coefficient() != a {
+					t.Fatalf("GF%d row %d term %d: (%d, %#x), want (%d, %#x)", f.W(), i, k, col, m.Coefficient(), j, a)
+				}
+				k++
+			}
+			if kern.Terms() != k {
+				t.Fatalf("GF%d row %d: Terms() = %d, want %d", f.W(), i, kern.Terms(), k)
+			}
+			dst := make([]byte, size)
+			want := make([]byte, size)
+			kern.MultXOR(dst, srcs)
+			CompileRow(f, row).MultXOR(want, srcs)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("GF%d row %d: CompileRows and CompileRow disagree", f.W(), i)
 			}
 		}
 	}

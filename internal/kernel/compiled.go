@@ -11,7 +11,7 @@ import (
 
 // CompiledMatrix is a matrix pre-lowered into fused per-row kernels:
 // every row's nonzero coefficients are bound to their lookup tables at
-// compile time (gf.CompileRow), so applying the matrix pays no
+// compile time (gf.CompileRows), so applying the matrix pays no
 // zero-coefficient scan, no per-call table construction, and — because
 // the row kernel streams all of a row's terms through each destination
 // word in one pass — one destination load/store per row instead of one
@@ -23,17 +23,17 @@ import (
 // across the persistent worker pool, composing with the executors'
 // group-level parallelism.
 //
+// The row kernels are the only lowering Compile builds (plus the XOR
+// program when that backend is active); RowTerms reads them back for
+// verification.
+//
 // A CompiledMatrix is immutable after Compile and safe for concurrent
 // use — the PPM executor applies different compiled groups from
 // different worker goroutines.
 type CompiledMatrix struct {
 	rows, cols int
 	kerns      []gf.RowKernel
-	// mults holds the per-row (column, multiplier) pairs of the same
-	// lowering, used by term-at-a-time consumers (the small-write path)
-	// and by tests asserting multiplier sharing.
-	mults [][]CompiledTerm
-	nnz   int
+	nnz        int
 	// prog, when non-nil, is the compiled XOR program (internal/xorplan)
 	// backing the region-application paths instead of the row kernels —
 	// attached by Compile when XorplanActive (GFNI absent, or forced).
@@ -46,45 +46,16 @@ type CompiledTerm struct {
 	Mult gf.Multiplier
 }
 
-// Compile lowers m over the field. Multipliers are shared between
-// equal coefficients (SD's all-ones disk-parity rows compile to one
-// XOR multiplier), and each row is additionally fused into a
-// gf.RowKernel.
+// Compile lowers m over the field into one fused gf.RowKernel per row,
+// with every row's terms carved from one array. Equal coefficients
+// share their multiplier through the field's memo (SD's all-ones
+// disk-parity rows compile to plain XOR terms).
 func Compile(f gf.Field, m *matrix.Matrix) *CompiledMatrix {
 	cm := &CompiledMatrix{
 		rows:  m.Rows(),
 		cols:  m.Cols(),
-		kerns: make([]gf.RowKernel, m.Rows()),
-		mults: make([][]CompiledTerm, m.Rows()),
+		kerns: gf.CompileRows(f, m.Rows(), m.Cols(), m.Data()),
 		nnz:   m.NNZ(),
-	}
-	// Every row's terms are carved out of one backing array. GF(2^8)
-	// binds all its multipliers up front, so MultiplierFor is already
-	// pointer-stable there; the wider fields stop memoizing past their
-	// table bound and need this compile's own dedupe to keep sharing.
-	terms := make([]CompiledTerm, 0, cm.nnz)
-	var cache map[uint32]gf.Multiplier
-	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		cm.kerns[i] = gf.CompileRow(f, row)
-		start := len(terms)
-		for j, a := range row {
-			if a == 0 {
-				continue
-			}
-			mult, ok := cache[a]
-			if !ok {
-				mult = gf.MultiplierFor(f, a)
-				if f != gf.GF8 && a > 1 {
-					if cache == nil {
-						cache = make(map[uint32]gf.Multiplier)
-					}
-					cache[a] = mult
-				}
-			}
-			terms = append(terms, CompiledTerm{Col: j, Mult: mult})
-		}
-		cm.mults[i] = terms[start:len(terms):len(terms)]
 	}
 	if XorplanActive() {
 		// Compiled programs are memoized process-wide, so recompiling the
@@ -111,8 +82,17 @@ func (cm *CompiledMatrix) Cols() int { return cm.cols }
 // NNZ returns the nonzero count, i.e. the mult_XORs cost of one Apply.
 func (cm *CompiledMatrix) NNZ() int { return cm.nnz }
 
-// RowTerms returns row i's nonzero terms in column order.
-func (cm *CompiledMatrix) RowTerms(i int) []CompiledTerm { return cm.mults[i] }
+// RowTerms returns row i's nonzero terms in column order, read back
+// from the row kernel the tiled driver runs. It allocates, and is meant
+// for verification and tests, not for the apply path.
+func (cm *CompiledMatrix) RowTerms(i int) []CompiledTerm {
+	kern := cm.kerns[i]
+	terms := make([]CompiledTerm, kern.Terms())
+	for k := range terms {
+		terms[k].Col, terms[k].Mult = kern.Term(k)
+	}
+	return terms
+}
 
 // checkShape panics unless the in/out counts match the matrix.
 func (cm *CompiledMatrix) checkShape(in, out [][]byte) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppm/internal/gf"
+	"ppm/internal/matrix"
 )
 
 // TestCompiledApplyMatchesApply: the lowered form computes exactly what
@@ -113,6 +114,27 @@ func TestCompileSharesMultipliers(t *testing.T) {
 			if term.Mult != first {
 				t.Fatal("equal coefficients got distinct multipliers")
 			}
+		}
+	}
+}
+
+// TestRowTermsRebuildCompiledMatrix: reading every row kernel's terms
+// back rebuilds exactly the matrix Compile lowered, in every field.
+func TestRowTermsRebuildCompiledMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(157))
+	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
+		m := randMatrix(rng, f, 5, 9)
+		m.Set(0, 0, 0)
+		m.Set(1, 2, 1)
+		cm := Compile(f, m)
+		got := matrix.New(f, cm.Rows(), cm.Cols())
+		for i := 0; i < cm.Rows(); i++ {
+			for _, term := range cm.RowTerms(i) {
+				got.Set(i, term.Col, term.Mult.Coefficient())
+			}
+		}
+		if !got.Equal(m) || cm.NNZ() != m.NNZ() {
+			t.Fatalf("GF(2^%d): row terms rebuild\n%vwant\n%v", f.W(), got, m)
 		}
 	}
 }

@@ -123,11 +123,12 @@ func fanoutSpans(size int) [][2]int {
 	return tileSpans(size, applyWorkers(), TileSize())
 }
 
-// applyWorkers is the fan-out width for one large-region apply: the
-// core count, the same budget the executors draw on. The worker pool's
-// inline-fallback dispatch keeps nesting safe (an apply running inside
-// a group worker hands tiles to idle workers or runs them itself).
-func applyWorkers() int { return runtime.NumCPU() }
+// applyWorkers is the fan-out width for one large-region apply:
+// GOMAXPROCS, the same budget the executors draw on, so `go test -cpu`
+// and a lowered GOMAXPROCS narrow it. The worker pool's inline-fallback
+// dispatch keeps nesting safe (an apply running inside a group worker
+// hands tiles to idle workers or runs them itself).
+func applyWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // viewArena is a pooled arena of region-view headers ([lo:hi] sub-slices
 // of caller regions), the per-apply scratch the tiled driver needs to

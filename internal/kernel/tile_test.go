@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ppm/internal/gf"
@@ -323,5 +324,23 @@ func TestCompiledApplyAllocationFree(t *testing.T) {
 		Apply(f, m, in, out, &stats)
 	}); avg != 0 {
 		t.Fatalf("plain Apply allocates %.1f/op with warm multiplier memo", avg)
+	}
+}
+
+// TestFanoutFollowsGOMAXPROCS: a large apply fans out one tile span per
+// GOMAXPROCS, so `go test -cpu` and a lowered GOMAXPROCS change the
+// fan-out, and GOMAXPROCS=1 applies serially.
+func TestFanoutFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	size := max(FanoutMinBytes(), 8*TileSize())
+	for _, procs := range []int{1, 2, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		want := procs
+		if procs == 1 {
+			want = 0 // serial: no spans
+		}
+		if got := len(fanoutSpans(size)); got != want {
+			t.Errorf("GOMAXPROCS=%d: %d spans, want %d", procs, got, want)
+		}
 	}
 }

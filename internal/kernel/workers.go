@@ -48,11 +48,11 @@ var (
 	defaultWorkersOnce sync.Once
 )
 
-// DefaultWorkers returns the process-wide pool, sized to the core
-// count, started lazily on first use.
+// DefaultWorkers returns the process-wide pool, sized to GOMAXPROCS at
+// its first use, when it starts.
 func DefaultWorkers() *Workers {
 	defaultWorkersOnce.Do(func() {
-		defaultWorkers = NewWorkers(runtime.NumCPU())
+		defaultWorkers = NewWorkers(runtime.GOMAXPROCS(0))
 	})
 	return defaultWorkers
 }

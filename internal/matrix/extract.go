@@ -18,9 +18,9 @@ func (m *Matrix) SelectColumns(cols []int) *Matrix {
 	return s
 }
 
-// SelectRows returns the sub-matrix made of the given rows, in order.
-// This is the partition operation of PPM Step 2: independent sub-matrix
-// rows are extracted from H.
+// SelectRows returns the sub-matrix made of the given rows, in order:
+// the traditional decode keeps an over-determined F's pivot rows this
+// way.
 func (m *Matrix) SelectRows(rows []int) *Matrix {
 	s := New(m.field, len(rows), m.cols)
 	for i, r := range rows {
@@ -30,39 +30,6 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 		copy(s.data[i*s.cols:(i+1)*s.cols], m.data[r*m.cols:(r+1)*m.cols])
 	}
 	return s
-}
-
-// NonzeroColumns returns the indices of columns that contain at least
-// one nonzero entry. The paper notes that partitioning creates all-zero
-// columns in sub-matrices and that those are dropped ("all sub-matrices
-// do not include the all zero columns", §III-A).
-func (m *Matrix) NonzeroColumns() []int {
-	// Mark columns in one row-major pass: rows are contiguous in data,
-	// columns are strided.
-	seen := make([]bool, m.cols)
-	for i := 0; i < m.rows; i++ {
-		for j, v := range m.data[i*m.cols : (i+1)*m.cols] {
-			if v != 0 {
-				seen[j] = true
-			}
-		}
-	}
-	n := 0
-	for _, nz := range seen {
-		if nz {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	cols := make([]int, 0, n)
-	for j, nz := range seen {
-		if nz {
-			cols = append(cols, j)
-		}
-	}
-	return cols
 }
 
 // SplitColumns partitions the columns of m into (selected, rest) by a

@@ -60,47 +60,6 @@ func TestSelectRowsOutOfRangePanics(t *testing.T) {
 	New(gf.GF8, 2, 2).SelectRows([]int{-1})
 }
 
-func TestNonzeroColumns(t *testing.T) {
-	m := FromRows(gf.GF8, [][]uint32{
-		{0, 1, 0, 2},
-		{0, 0, 0, 3},
-	})
-	if got := m.NonzeroColumns(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Fatalf("NonzeroColumns = %v", got)
-	}
-	if got := New(gf.GF8, 2, 3).NonzeroColumns(); got != nil {
-		t.Fatalf("all-zero matrix NonzeroColumns = %v", got)
-	}
-}
-
-// TestNonzeroColumnsMatchesColumnScan pins the row-major mask pass to
-// the column-by-column definition on random sparse matrices, including
-// empty and all-zero shapes.
-func TestNonzeroColumnsMatchesColumnScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 500; trial++ {
-		rows, cols := rng.Intn(9), rng.Intn(24)
-		m := New(gf.GF16, rows, cols)
-		density := rng.Float64() * 0.3
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if rng.Float64() < density {
-					m.Set(i, j, uint32(1+rng.Intn(0xFFFF)))
-				}
-			}
-		}
-		var want []int
-		for j := 0; j < cols; j++ {
-			if !m.ColumnIsZero(j) {
-				want = append(want, j)
-			}
-		}
-		if got := m.NonzeroColumns(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%dx%d): NonzeroColumns = %v, column scan = %v", trial, rows, cols, got, want)
-		}
-	}
-}
-
 func TestSplitColumns(t *testing.T) {
 	m := FromRows(gf.GF8, [][]uint32{
 		{10, 11, 12, 13, 14},

@@ -3,6 +3,8 @@ package matrix
 import (
 	"errors"
 	"fmt"
+
+	"ppm/internal/gf"
 )
 
 // ErrSingular is returned by Invert when the matrix has no inverse.
@@ -17,42 +19,56 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	if m.rows != m.cols {
 		return nil, fmt.Errorf("matrix: cannot invert non-square %dx%d matrix", m.rows, m.cols)
 	}
-	n := m.rows
-	a := m.Clone()
-	inv := Identity(m.field, n)
-	f := m.field
+	inv := New(m.field, m.rows, m.rows)
+	if err := InvertInto(m.field, inv.data, m.Clone().data, m.rows); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
 
+// InvertInto writes the inverse of the n x n row-major matrix a into
+// dst, or returns ErrSingular. a is the elimination workspace and is
+// overwritten; dst and a must not overlap. It allocates nothing, so a
+// planner can invert in pooled scratch straight into its own storage.
+func InvertInto(f gf.Field, dst, a []uint32, n int) error {
+	if len(a) != n*n || len(dst) != n*n {
+		panic(fmt.Sprintf("matrix: InvertInto on %d and %d entries for n=%d", len(dst), len(a), n))
+	}
+	clear(dst)
+	for i := 0; i < n; i++ {
+		dst[i*n+i] = 1
+	}
 	for col := 0; col < n; col++ {
 		// Pivot: first nonzero at or below the diagonal.
 		pivot := -1
 		for i := col; i < n; i++ {
-			if a.data[i*n+col] != 0 {
+			if a[i*n+col] != 0 {
 				pivot = i
 				break
 			}
 		}
 		if pivot < 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
-		a.swapRows(col, pivot)
-		inv.swapRows(col, pivot)
+		swapRows(a, n, col, pivot)
+		swapRows(dst, n, col, pivot)
 
-		if pv := a.data[col*n+col]; pv != 1 {
+		if pv := a[col*n+col]; pv != 1 {
 			s := f.Inv(pv)
-			a.scaleRow(col, s)
-			inv.scaleRow(col, s)
+			scaleRow(f, a, n, col, s)
+			scaleRow(f, dst, n, col, s)
 		}
 		for i := 0; i < n; i++ {
 			if i == col {
 				continue
 			}
-			if c := a.data[i*n+col]; c != 0 {
-				a.addScaledRow(i, col, c)
-				inv.addScaledRow(i, col, c)
+			if c := a[i*n+col]; c != 0 {
+				addScaledRow(f, a, n, i, col, c)
+				addScaledRow(f, dst, n, i, col, c)
 			}
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // Invertible reports whether m is square and nonsingular.

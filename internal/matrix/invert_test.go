@@ -209,3 +209,46 @@ func TestPivotRowsSingular(t *testing.T) {
 		t.Fatal("short matrix accepted")
 	}
 }
+
+// TestIntoHelpersOnCallerStorage: InvertInto and MulInto write F^-1 and
+// F^-1 * S into windows of one caller array, without allocating, and
+// Wrap views those windows as matrices equal to Invert's and Mul's.
+func TestIntoHelpersOnCallerStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for _, f := range []gf.Field{gf.GF8, gf.GF16, gf.GF32} {
+		const n, c = 4, 6
+		fm := randomInvertible(rng, f, n)
+		sm := randomMatrix(rng, f, n, c)
+		slab := make([]uint32, n*n+n*c)
+		work := make([]uint32, n*n)
+		if avg := testing.AllocsPerRun(10, func() {
+			copy(work, fm.Data())
+			if err := InvertInto(f, slab[:n*n], work, n); err != nil {
+				t.Fatal(err)
+			}
+			MulInto(f, slab[n*n:], slab[:n*n], sm.Data(), n, n, c)
+		}); avg != 0 {
+			t.Errorf("GF(2^%d): Into helpers allocate %.1f/op", f.W(), avg)
+		}
+		want, err := fm.Invert()
+		if err != nil {
+			t.Fatal(err)
+		}
+		finv := Wrap(f, n, n, slab[:n*n])
+		g := Wrap(f, n, c, slab[n*n:])
+		if !finv.Equal(want) || !g.Equal(want.Mul(sm)) {
+			t.Fatalf("GF(2^%d): Into helpers disagree with Invert and Mul", f.W())
+		}
+
+		copy(work, New(f, n, n).Data()) // all-zero F
+		if err := InvertInto(f, slab[:n*n], work, n); !errors.Is(err, ErrSingular) {
+			t.Fatalf("GF(2^%d): singular InvertInto returned %v", f.W(), err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Wrap accepted storage of the wrong size")
+		}
+	}()
+	Wrap(gf.GF8, 2, 3, make([]uint32, 5))
+}

@@ -32,6 +32,17 @@ func New(field gf.Field, rows, cols int) *Matrix {
 	}
 }
 
+// Wrap returns a rows x cols matrix over caller storage: data holds the
+// entries row-major and is used, not copied. It lets a caller lay many
+// small matrices out in one backing array and keep their headers in
+// one slice.
+func Wrap(field gf.Field, rows, cols int, data []uint32) Matrix {
+	if rows < 0 || cols < 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("matrix: %d entries for a %dx%d matrix", len(data), rows, cols))
+	}
+	return Matrix{rows: rows, cols: cols, data: data[:len(data):len(data)], field: field}
+}
+
 // FromRows builds a matrix from row slices (all the same length).
 // Intended for tests and worked examples.
 func FromRows(field gf.Field, rows [][]uint32) *Matrix {
@@ -85,6 +96,10 @@ func (m *Matrix) Row(i int) []uint32 {
 	}
 	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
 }
+
+// Data returns a read-only row-major view of every entry. Callers must
+// not modify it.
+func (m *Matrix) Data() []uint32 { return m.data[:len(m.data):len(m.data)] }
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {

@@ -1,6 +1,10 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+
+	"ppm/internal/gf"
+)
 
 // Mul returns the matrix product m * o. The scalar cost of matrix-matrix
 // products is negligible next to matrix-times-block-region products
@@ -12,30 +16,40 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 	if m.field != o.field {
 		panic("matrix: mixed fields in Mul")
 	}
-	f := m.field
-	p := New(f, m.rows, o.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		pi := p.data[i*o.cols : (i+1)*o.cols]
-		for k, a := range mi {
-			if a == 0 {
+	p := New(m.field, m.rows, o.cols)
+	MulInto(m.field, p.data, m.data, o.data, m.rows, m.cols, o.cols)
+	return p
+}
+
+// MulInto writes the product of the row-major r x k matrix a and k x c
+// matrix b into dst (r x c), overwriting it. dst must not overlap a or
+// b. Like InvertInto it works on caller storage and allocates nothing.
+func MulInto(f gf.Field, dst, a, b []uint32, r, k, c int) {
+	if len(a) != r*k || len(b) != k*c || len(dst) != r*c {
+		panic(fmt.Sprintf("matrix: MulInto shapes %dx%d * %dx%d with %d, %d, %d entries", r, k, k, c, len(a), len(b), len(dst)))
+	}
+	clear(dst)
+	for i := 0; i < r; i++ {
+		ai := a[i*k : (i+1)*k]
+		pi := dst[i*c : (i+1)*c]
+		for l, x := range ai {
+			if x == 0 {
 				continue
 			}
-			ok := o.data[k*o.cols : (k+1)*o.cols]
-			if a == 1 {
-				for j, b := range ok {
-					pi[j] ^= b
+			bl := b[l*c : (l+1)*c]
+			if x == 1 {
+				for j, y := range bl {
+					pi[j] ^= y
 				}
 				continue
 			}
-			for j, b := range ok {
-				if b != 0 {
-					pi[j] ^= f.Mul(a, b)
+			for j, y := range bl {
+				if y != 0 {
+					pi[j] ^= f.Mul(x, y)
 				}
 			}
 		}
 	}
-	return p
 }
 
 // Add returns the entrywise sum (XOR) m + o.
@@ -119,13 +133,12 @@ func (m *Matrix) Rank() int {
 		if pivot < 0 {
 			continue
 		}
-		a.swapRows(rank, pivot)
+		swapRows(a.data, a.cols, rank, pivot)
 		pv := a.data[rank*a.cols+col]
-		inv := f.Inv(pv)
-		a.scaleRow(rank, inv)
+		scaleRow(f, a.data, a.cols, rank, f.Inv(pv))
 		for i := rank + 1; i < a.rows; i++ {
 			if c := a.data[i*a.cols+col]; c != 0 {
-				a.addScaledRow(i, rank, c)
+				addScaledRow(f, a.data, a.cols, i, rank, c)
 			}
 		}
 		rank++
@@ -133,31 +146,33 @@ func (m *Matrix) Rank() int {
 	return rank
 }
 
-func (m *Matrix) swapRows(i, j int) {
+// swapRows exchanges rows i and j of the row-major matrix d with the
+// given column count.
+func swapRows(d []uint32, cols, i, j int) {
 	if i == j {
 		return
 	}
-	ri := m.data[i*m.cols : (i+1)*m.cols]
-	rj := m.data[j*m.cols : (j+1)*m.cols]
+	ri := d[i*cols : (i+1)*cols]
+	rj := d[j*cols : (j+1)*cols]
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
 }
 
-// scaleRow multiplies row i by the scalar a.
-func (m *Matrix) scaleRow(i int, a uint32) {
-	row := m.data[i*m.cols : (i+1)*m.cols]
+// scaleRow multiplies row i of d by the scalar a.
+func scaleRow(f gf.Field, d []uint32, cols, i int, a uint32) {
+	row := d[i*cols : (i+1)*cols]
 	for k, v := range row {
 		if v != 0 {
-			row[k] = m.field.Mul(v, a)
+			row[k] = f.Mul(v, a)
 		}
 	}
 }
 
-// addScaledRow does row_i ^= a * row_j.
-func (m *Matrix) addScaledRow(i, j int, a uint32) {
-	ri := m.data[i*m.cols : (i+1)*m.cols]
-	rj := m.data[j*m.cols : (j+1)*m.cols]
+// addScaledRow does row_i ^= a * row_j on d.
+func addScaledRow(f gf.Field, d []uint32, cols, i, j int, a uint32) {
+	ri := d[i*cols : (i+1)*cols]
+	rj := d[j*cols : (j+1)*cols]
 	if a == 1 {
 		for k, v := range rj {
 			ri[k] ^= v
@@ -166,7 +181,7 @@ func (m *Matrix) addScaledRow(i, j int, a uint32) {
 	}
 	for k, v := range rj {
 		if v != 0 {
-			ri[k] ^= m.field.Mul(a, v)
+			ri[k] ^= f.Mul(a, v)
 		}
 	}
 }

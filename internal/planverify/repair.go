@@ -13,10 +13,10 @@ import (
 const objRepairPlan = "repair-plan"
 
 // reconstructMatrix rebuilds the coefficient matrix a compiled matrix
-// was lowered from, via the per-row (column, multiplier) terms the
-// small-write path uses. Every verification of a repair step therefore
-// checks the lowering the executor actually runs, not the matrix the
-// planner thought it compiled.
+// was lowered from, reading each term's column and multiplier back out
+// of the fused row kernels the tiled driver runs. Every verification of
+// a repair step therefore checks the lowering the executor actually
+// runs, not the matrix the planner thought it compiled.
 func reconstructMatrix(cm *kernel.CompiledMatrix, fieldOf codes.Code) *matrix.Matrix {
 	m := matrix.New(fieldOf.Field(), cm.Rows(), cm.Cols())
 	for i := 0; i < cm.Rows(); i++ {

@@ -143,13 +143,15 @@ func buildPlan(c codes.Code, sc codes.Scenario, wanted []int) (*Plan, error) {
 		p.Steps = append(p.Steps, stepForGroup(field, h, &cp.Groups[gi], faulty))
 	}
 	if sel.NeedRest {
+		// StrategyPPM runs H_rest with the Normal sequence, so the core
+		// plan already compiled F_rest^-1 and S_rest.
 		r := cp.Rest
 		p.Steps = append(p.Steps, Step{
 			Out:          r.FaultyCols,
 			In:           r.SurvivorCols,
 			Seq:          kernel.Normal,
-			Finv:         kernel.Compile(field, r.Finv),
-			S:            kernel.Compile(field, r.S),
+			Finv:         r.CompiledFinv(),
+			S:            r.CompiledS(),
 			Ops:          int64(r.Finv.NNZ() + r.S.NNZ()),
 			MinimizedRow: -1,
 		})
@@ -235,7 +237,7 @@ func stepForGroup(field gf.Field, h *matrix.Matrix, g *core.SubDecode, faulty ma
 		Out:          g.FaultyCols,
 		In:           g.SurvivorCols,
 		Seq:          kernel.MatrixFirst,
-		G:            kernel.Compile(field, g.G),
+		G:            g.CompiledG(), // compiled by the core plan
 		Ops:          int64(g.G.NNZ()),
 		MinimizedRow: -1,
 	}

@@ -2,9 +2,9 @@ package repair
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -114,22 +114,24 @@ func NewPlanner(c codes.Code, opts ...PlannerOption) *Planner {
 // Code returns the bound code instance.
 func (p *Planner) Code() codes.Code { return p.code }
 
-// planKey canonicalises (failure pattern, wanted set) into a byte key.
-// Scenario.Faulty is sorted; wanted is canonicalised by the builder,
-// so the caller's order is normalised here too.
+// planKey canonicalises (failure pattern, wanted set) into a byte key
+// of uvarints: the erasure count, each faulty sector, then 0 for a nil
+// wanted (every faulty sector) or the wanted count plus one and each
+// wanted sector. Scenario.Faulty is sorted; wanted is canonicalised by
+// the builder, so the caller's order is normalised here too. Sectors
+// below 128 take one byte each, so lookup keys of multi-disk patterns
+// stay in the caller's stack buffer.
 func planKey(buf []byte, sc codes.Scenario, wanted []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(sc.Faulty)))
 	for _, f := range sc.Faulty {
-		buf = strconv.AppendInt(buf, int64(f), 10)
-		buf = append(buf, ',')
+		buf = binary.AppendUvarint(buf, uint64(f))
 	}
-	buf = append(buf, '|')
 	if wanted == nil {
-		buf = append(buf, '*')
-		return buf
+		return binary.AppendUvarint(buf, 0)
 	}
+	buf = binary.AppendUvarint(buf, uint64(len(wanted))+1)
 	for _, w := range wanted {
-		buf = strconv.AppendInt(buf, int64(w), 10)
-		buf = append(buf, ',')
+		buf = binary.AppendUvarint(buf, uint64(w))
 	}
 	return buf
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -170,5 +171,40 @@ func TestPlannerCacheDisabled(t *testing.T) {
 	}
 	if hits, misses := pl.CacheStats(); hits != 0 || misses != 0 {
 		t.Fatalf("disabled cache counted hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestPlannerCachedHitAllocationFree: a cached Plan lookup renders its
+// key into a stack buffer and allocates nothing, for a full repair and
+// for a wanted subset of an SD(8,16,2,2) pattern that loses 34 sectors
+// (two whole disks plus two sectors).
+func TestPlannerCachedHitAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode instruments allocations; counts are meaningless")
+	}
+	sd, err := codes.NewSD(8, 16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sd.WorstCaseScenario(rand.New(rand.NewSource(42)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Faulty) != 34 {
+		t.Fatalf("worst case loses %d sectors, want 34", len(sc.Faulty))
+	}
+	pl := NewPlanner(sd)
+	for _, wanted := range [][]int{nil, sc.Faulty[:len(sc.Faulty)/2]} {
+		want, err := pl.Plan(sc, wanted) // miss: builds and caches
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(20, func() {
+			if p, err := pl.Plan(sc, wanted); err != nil || p != want {
+				t.Fatalf("cached plan not returned (err=%v)", err)
+			}
+		}); avg != 0 {
+			t.Errorf("wanted=%v: cached Plan allocates %.1f/op, want 0", wanted, avg)
+		}
 	}
 }
